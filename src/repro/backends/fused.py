@@ -67,14 +67,13 @@ from repro.backends.base import EncodeOutcome, KernelBackend
 from repro.backends.reference import padded_stage_sizes
 from repro.core import hotpath
 from repro.core.bitshuffle import TILE_WORDS
-from repro.core.encoder import BLOCK_WORDS, EncodedBlocks
+from repro.core.encoder import BLOCK_WORDS, EncodedBlocks, check_blocks
 from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
 from repro.errors import DecompressionError
 from repro.utils.bits import (
     _SWAP_DISTANCES,
     _SWAP_MASKS,
     pack_bitflags,
-    unpack_bitflags,
 )
 from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import Scratch
@@ -125,6 +124,108 @@ def _transpose_bitplanes(B: np.ndarray, scratch: Scratch) -> None:
         np.bitwise_xor(lo, t, out=lo)
 
 
+def encode_tiles(
+    codes: np.ndarray, scratch: Scratch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bitshuffle + zero-block encode a whole number of 2048-code tiles.
+
+    Returns the packed flag bytes and the literal words, equal to
+    ``encode_zero_blocks(bitshuffle(codes))``: the tiles are bit-transposed
+    in bit-plane-major layout and flags and literals are read straight from
+    it, so the word-transposed "shuffled" array is never materialized.
+    """
+    flat = codes.view(np.uint32).reshape(-1, 32)
+    n_tiles = flat.shape[0] // 32
+    M = n_tiles * 32
+    B = scratch.take("fz.planes", (32, M), np.uint32)
+    np.copyto(B, flat.T)
+    _transpose_bitplanes(B, scratch)
+    # per-block OR without materializing the word-transposed layout:
+    # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]
+    grp = B.reshape(32, n_tiles, 8, BLOCK_WORDS)
+    acc = scratch.take("fz.acc", (32, n_tiles, 8), np.uint32)
+    np.bitwise_or(grp[..., 0], grp[..., 1], out=acc)
+    for w in range(2, BLOCK_WORDS):
+        np.bitwise_or(acc, grp[..., w], out=acc)
+    bf = scratch.take("fz.bf", (n_tiles * 256,), bool)
+    np.not_equal(acc.transpose(1, 0, 2), 0, out=bf.reshape(n_tiles, 32, 8))
+    flags = pack_bitflags(bf)
+    # gather only the nonzero blocks, straight from the plane layout
+    idx = np.nonzero(bf)[0]
+    c = (idx >> 3) & 31
+    tm = ((idx >> 8) << 3) | (idx & 7)
+    return flags, B.reshape(32, n_tiles * 8, BLOCK_WORDS)[c, tm].reshape(-1)
+
+
+def join_tiles(parts: list[tuple[np.ndarray, np.ndarray]]) -> EncodedBlocks:
+    """Concatenate :func:`encode_tiles` outputs, in stream order."""
+    bitflags = np.concatenate([f for f, _ in parts] or [np.zeros(0, np.uint8)])
+    literals = np.concatenate([w for _, w in parts] or [np.zeros(0, np.uint32)])
+    return EncodedBlocks(
+        bitflags=bitflags,
+        literals=literals,
+        n_blocks=bitflags.size * 8,
+        n_nonzero=literals.size // BLOCK_WORDS,
+    )
+
+
+class TileDecoder:
+    """Random access to the codes of a zero-block-encoded, bitshuffled stream.
+
+    The constructor runs the staged decoders' validation ladder
+    (:func:`~repro.core.encoder.check_blocks`, then ``bitunshuffle``'s
+    checks: same conditions, same messages, same order), so crafted streams
+    fail identically whichever path decodes them.  :meth:`codes` then
+    decodes any code range from its covering tiles alone.
+    """
+
+    def __init__(self, encoded: EncodedBlocks, n_codes: int, scratch: Scratch):
+        byteflags, literals = check_blocks(encoded)
+        n_words = encoded.n_blocks * BLOCK_WORDS
+        if n_words % TILE_WORDS:
+            raise DecompressionError("word count must be a multiple of TILE_WORDS")
+        if not 0 <= n_codes <= 2 * n_words:
+            raise DecompressionError(
+                f"stream holds {2 * n_words} codes, {n_codes} requested"
+            )
+        self._scratch = scratch
+        self._byteflags = byteflags
+        self._lit_blocks = literals.reshape(-1, BLOCK_WORDS)
+        # literal-block start offset of every tile: exclusive cumsum of
+        # per-tile flag popcounts, so any tile range scatters without a
+        # global pass
+        n_tiles = encoded.n_blocks // 256
+        self._lit_tile_start = np.zeros(n_tiles + 1, dtype=np.int64)
+        np.cumsum(
+            byteflags.reshape(n_tiles, 256).sum(axis=1, dtype=np.int64),
+            out=self._lit_tile_start[1:],
+        )
+
+    def codes(self, lo: int, hi: int) -> np.ndarray:
+        """Codes ``[lo, hi)`` of the stream, as a view into the scratch."""
+        t_lo = lo // TILE_CODES
+        t_hi = -(-hi // TILE_CODES)
+        n_tiles = t_hi - t_lo
+        M = n_tiles * 32
+        # zero-block scatter straight into the bit-plane-major layout:
+        # batch flag t*256 + c*8 + m is block B[c, t*32 + 4m : t*32 + 4m + 4]
+        B = self._scratch.take("fzd.planes", (32, M), np.uint32)
+        B.fill(0)
+        idx = np.nonzero(self._byteflags[t_lo * 256 : t_hi * 256])[0]
+        if idx.size:
+            start = self._lit_tile_start
+            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[
+                (idx >> 3) & 31, ((idx >> 8) << 3) | (idx & 7)
+            ] = self._lit_blocks[start[t_lo] : start[t_hi]]
+        # the masked-swap network is an involution: one more pass undoes
+        # the encoder's transpose
+        _transpose_bitplanes(B, self._scratch)
+        cm32 = self._scratch.take("fzd.cm32", (M, 32), np.uint32)
+        np.copyto(cm32, B.T)
+        base = t_lo * TILE_CODES
+        return cm32.reshape(-1).view(np.uint16)[lo - base : hi - base]
+
+
 def _fused_encode_codes(
     data: np.ndarray,
     eb_abs: float,
@@ -148,36 +249,9 @@ def _fused_encode_codes(
     codes_rm = scratch.take("fz.c16", (slab_rows,) + inner_p, np.uint16)
     pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
     n_pend = 0
-    flags_parts: list[np.ndarray] = []
-    lit_parts: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     n_sat = 0
     max_abs = 0
-
-    def encode_tiles(codes_part: np.ndarray) -> None:
-        """Bitshuffle + zero-block encode a whole number of tiles."""
-        flat = codes_part.view(np.uint32).reshape(-1, 32)
-        n_tiles = flat.shape[0] // 32
-        M = n_tiles * 32
-        B = scratch.take("fz.planes", (32, M), np.uint32)
-        np.copyto(B, flat.T)
-        _transpose_bitplanes(B, scratch)
-        # per-block OR without materializing the word-transposed layout:
-        # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]
-        grp = B.reshape(32, n_tiles, 8, BLOCK_WORDS)
-        acc = scratch.take("fz.acc", (32, n_tiles, 8), np.uint32)
-        np.bitwise_or(grp[..., 0], grp[..., 1], out=acc)
-        for w in range(2, BLOCK_WORDS):
-            np.bitwise_or(acc, grp[..., w], out=acc)
-        bf = scratch.take("fz.bf", (n_tiles * 256,), bool)
-        np.not_equal(acc.transpose(1, 0, 2), 0, out=bf.reshape(n_tiles, 32, 8))
-        flags_parts.append(pack_bitflags(bf))
-        # gather only the nonzero blocks, straight from the plane layout
-        idx = np.nonzero(bf)[0]
-        c = (idx >> 3) & 31
-        tm = ((idx >> 8) << 3) | (idx & 7)
-        lit_parts.append(
-            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[c, tm].reshape(-1)
-        )
 
     def flush_tiles(codes_cm: np.ndarray) -> None:
         """Emit whole tiles from contiguous chunk-major codes + the carry."""
@@ -187,7 +261,7 @@ def _fused_encode_codes(
             if codes_cm.size >= need:
                 pend[n_pend:] = codes_cm[:need]
                 n_pend = 0
-                encode_tiles(pend)
+                parts.append(encode_tiles(pend, scratch))
                 codes_cm = codes_cm[need:]
             else:
                 pend[n_pend : n_pend + codes_cm.size] = codes_cm
@@ -196,7 +270,9 @@ def _fused_encode_codes(
         n_full = codes_cm.size // TILE_CODES
         rest = codes_cm[n_full * TILE_CODES :]
         if n_full:
-            encode_tiles(codes_cm[: n_full * TILE_CODES])
+            parts.append(
+                encode_tiles(codes_cm[: n_full * TILE_CODES], scratch)
+            )
         if rest.size:
             pend[: rest.size] = rest
             n_pend = rest.size
@@ -281,20 +357,8 @@ def _fused_encode_codes(
     if n_pend:
         pend[n_pend:] = 0  # zero-pad the final partial tile, as reference
         n_pend = 0
-        encode_tiles(pend)
-    bitflags = (
-        np.concatenate(flags_parts) if flags_parts else np.zeros(0, np.uint8)
-    )
-    literals = (
-        np.concatenate(lit_parts) if lit_parts else np.zeros(0, np.uint32)
-    )
-    encoded = EncodedBlocks(
-        bitflags=bitflags,
-        literals=literals,
-        n_blocks=sum(fp.size * 8 for fp in flags_parts),
-        n_nonzero=literals.size // BLOCK_WORDS,
-    )
-    return encoded, padded, QuantizerStats(n_sat, 0, max_abs)
+        parts.append(encode_tiles(pend, scratch))
+    return join_tiles(parts), padded, QuantizerStats(n_sat, 0, max_abs)
 
 
 def _fused_decode_codes(
@@ -312,43 +376,9 @@ def _fused_decode_codes(
     backend decodes them.
     """
     # -- validation ladder (decode_zero_blocks / bitunshuffle / dequantize) --
-    n_blocks = int(encoded.n_blocks)
-    if n_blocks < 0:
-        raise DecompressionError(f"negative block count {n_blocks} in stream")
-    n_nonzero = int(encoded.n_nonzero)
-    if not 0 <= n_nonzero <= n_blocks:
-        raise DecompressionError(
-            f"stream claims {n_nonzero} non-zero blocks of {n_blocks}"
-        )
-    if int(encoded.bitflags.size) != (n_blocks + 7) // 8:
-        raise DecompressionError(
-            f"flag array is {int(encoded.bitflags.size)} bytes, "
-            f"{n_blocks} blocks need {(n_blocks + 7) // 8}"
-        )
-    try:
-        byteflags = unpack_bitflags(encoded.bitflags, encoded.n_blocks)
-    except ValueError as exc:
-        raise DecompressionError(str(exc)) from exc
-    n_set = int(np.count_nonzero(byteflags))
-    if n_set != encoded.n_nonzero:
-        raise DecompressionError(
-            f"flag array has {n_set} set bits but stream claims {encoded.n_nonzero}"
-        )
-    literals = np.ascontiguousarray(encoded.literals, dtype=np.uint32)
-    if literals.size != encoded.n_nonzero * BLOCK_WORDS:
-        raise DecompressionError(
-            "literal payload length does not match non-zero block count"
-        )
-    n_words = encoded.n_blocks * BLOCK_WORDS
-    if n_words % TILE_WORDS:
-        raise DecompressionError("word count must be a multiple of TILE_WORDS")
     padded = tuple(int(p) for p in padded_shape)
     nd = len(padded)
-    n_codes = math.prod(padded)
-    if not 0 <= n_codes <= 2 * n_words:
-        raise DecompressionError(
-            f"stream holds {2 * n_words} codes, {n_codes} requested"
-        )
+    tiles = TileDecoder(encoded, math.prod(padded), scratch)
     chunk = chunk_shape_for(nd, chunk)
     if any(p % c for p, c in zip(padded, chunk)):
         raise DecompressionError(
@@ -364,16 +394,6 @@ def _fused_decode_codes(
     slab_rows = max(1, TARGET_SLAB_CODES // (c0 * inner_n)) * c0
     slab_rows = min(slab_rows, padded[0])
     inv = np.float64(2.0 * eb_abs)
-
-    # literal-block start offset of every tile: exclusive cumsum of per-tile
-    # flag popcounts, so any tile range scatters without a global pass
-    n_tiles_total = encoded.n_blocks // 256
-    lit_tile_start = np.zeros(n_tiles_total + 1, dtype=np.int64)
-    np.cumsum(
-        byteflags.reshape(n_tiles_total, 256).sum(axis=1, dtype=np.int64),
-        out=lit_tile_start[1:],
-    )
-    lit_blocks = literals.reshape(-1, BLOCK_WORDS)
 
     # chunk-major -> row-major scatter: the encoder's gather permutation,
     # applied through a transposed destination view
@@ -393,32 +413,8 @@ def _fused_decode_codes(
         if real <= 0:
             continue  # rows of pure chunk padding never reach the output
         # the slab's chunk-major codes span these positions of the stream
-        # (slab boundaries are chunk-row boundaries, so spans are exact);
-        # decode the covering whole tiles, tolerating a shared boundary tile
-        lo = a * inner_n
-        hi = b * inner_n
-        t_lo = lo // TILE_CODES
-        t_hi = -(-hi // TILE_CODES)
-        n_tiles = t_hi - t_lo
-        M = n_tiles * 32
-        # zero-block scatter straight into the bit-plane-major layout:
-        # batch flag t*256 + c*8 + m is block B[c, t*32 + 4m : t*32 + 4m + 4]
-        B = scratch.take("fzd.planes", (32, M), np.uint32)
-        B.fill(0)
-        bf = byteflags[t_lo * 256 : t_hi * 256]
-        idx = np.nonzero(bf)[0]
-        if idx.size:
-            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[
-                (idx >> 3) & 31, ((idx >> 8) << 3) | (idx & 7)
-            ] = lit_blocks[lit_tile_start[t_lo] : lit_tile_start[t_hi]]
-        # the masked-swap network is an involution: one more pass undoes
-        # the encoder's transpose
-        _transpose_bitplanes(B, scratch)
-        cm32 = scratch.take("fzd.cm32", (M, 32), np.uint32)
-        np.copyto(cm32, B.T)
-        sl = cm32.reshape(-1).view(np.uint16)[
-            lo - t_lo * TILE_CODES : hi - t_lo * TILE_CODES
-        ]
+        # (slab boundaries are chunk-row boundaries, so spans are exact)
+        sl = tiles.codes(a * inner_n, b * inner_n)
         # un-gather chunk-major -> row-major (1-D is already row-major)
         g_rows = rows // c0
         view_shape = (g_rows, c0)

@@ -101,9 +101,12 @@ def encode_zero_blocks(words: np.ndarray, block_words: int = BLOCK_WORDS) -> Enc
     )
 
 
-def decode_zero_blocks(encoded: EncodedBlocks, block_words: int = BLOCK_WORDS) -> np.ndarray:
-    """Invert :func:`encode_zero_blocks`, returning the full ``uint32`` stream.
+def check_blocks(
+    encoded: EncodedBlocks, block_words: int = BLOCK_WORDS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an encoded block stream; return its byte flags and literals.
 
+    This is the decode validation ladder every zero-block decoder runs.
     Inconsistent inputs (flag/literal count mismatches — i.e. corrupted
     streams) raise :class:`~repro.errors.DecompressionError` so API
     boundaries catching :class:`~repro.errors.ReproError` see them.
@@ -138,6 +141,16 @@ def decode_zero_blocks(encoded: EncodedBlocks, block_words: int = BLOCK_WORDS) -
         raise DecompressionError(
             "literal payload length does not match non-zero block count"
         )
+    return byteflags, literals
+
+
+def decode_zero_blocks(encoded: EncodedBlocks, block_words: int = BLOCK_WORDS) -> np.ndarray:
+    """Invert :func:`encode_zero_blocks`, returning the full ``uint32`` stream.
+
+    Malformed streams fail :func:`check_blocks` with
+    :class:`~repro.errors.DecompressionError`.
+    """
+    byteflags, literals = check_blocks(encoded, block_words)
     out = np.zeros((encoded.n_blocks, block_words), dtype=np.uint32)
     out[byteflags] = literals.reshape(-1, block_words)
     return out.reshape(-1)

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.bitshuffle import TILE_WORDS
-from repro.core.encoder import BLOCK_WORDS, EncodedBlocks
+from repro.core.encoder import BLOCK_WORDS, EncodedBlocks, check_blocks
 from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
 from repro.errors import DecompressionError
-from repro.utils.bits import bit_transpose_32x32_fast, pack_bitflags, unpack_bitflags
+from repro.utils.bits import bit_transpose_32x32_fast, pack_bitflags
 from repro.utils.chunking import block_view, chunk_shape_for
 from repro.utils.pool import Scratch
 
@@ -176,41 +176,11 @@ def encode_zero_blocks_pooled(words: np.ndarray, scratch: Scratch) -> EncodedBlo
 def decode_zero_blocks_pooled(encoded: EncodedBlocks, scratch: Scratch) -> np.ndarray:
     """Pooled :func:`repro.core.encoder.decode_zero_blocks` (bit-identical).
 
-    Same validation ladder and scatter; the zero-filled destination is
-    pooled instead of ``np.zeros``-allocated per call.  Crafted-stream
-    counts that the ladder could not rule out — a negative block count, a
-    non-zero count outside ``[0, n_blocks]``, a flag array that is not
-    exactly ``ceil(n_blocks / 8)`` bytes — fail up front with
-    :class:`~repro.errors.DecompressionError` instead of surfacing as
-    downstream NumPy ``ValueError``s (``tests/test_hotpath.py`` pins them).
+    Same validation ladder (:func:`repro.core.encoder.check_blocks`,
+    pinned by ``tests/test_hotpath.py``) and scatter; the zero-filled
+    destination is pooled instead of ``np.zeros``-allocated per call.
     """
-    n_blocks = int(encoded.n_blocks)
-    if n_blocks < 0:
-        raise DecompressionError(f"negative block count {n_blocks} in stream")
-    n_nonzero = int(encoded.n_nonzero)
-    if not 0 <= n_nonzero <= n_blocks:
-        raise DecompressionError(
-            f"stream claims {n_nonzero} non-zero blocks of {n_blocks}"
-        )
-    if int(encoded.bitflags.size) != (n_blocks + 7) // 8:
-        raise DecompressionError(
-            f"flag array is {int(encoded.bitflags.size)} bytes, "
-            f"{n_blocks} blocks need {(n_blocks + 7) // 8}"
-        )
-    try:
-        byteflags = unpack_bitflags(encoded.bitflags, encoded.n_blocks)
-    except ValueError as exc:
-        raise DecompressionError(str(exc)) from exc
-    n_set = int(np.count_nonzero(byteflags))
-    if n_set != encoded.n_nonzero:
-        raise DecompressionError(
-            f"flag array has {n_set} set bits but stream claims {encoded.n_nonzero}"
-        )
-    literals = np.ascontiguousarray(encoded.literals, dtype=np.uint32)
-    if literals.size != encoded.n_nonzero * BLOCK_WORDS:
-        raise DecompressionError(
-            "literal payload length does not match non-zero block count"
-        )
+    byteflags, literals = check_blocks(encoded)
     out = scratch.zeros("dec.words", (encoded.n_blocks, BLOCK_WORDS), np.uint32)
     out[byteflags] = literals.reshape(-1, BLOCK_WORDS)
     return out.reshape(-1)

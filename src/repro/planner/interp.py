@@ -25,15 +25,16 @@ Algorithm
   decode exact and the error bound hold (except at saturated residuals,
   the same caveat as the fused path).
 * **Encoding** — the residual code grid (zeros at anchor positions) runs
-  through the exact bitshuffle and zero-block stages of the fused pipeline
-  into a CRC-trailed ``FZIN`` stream.
+  through the fused backend's bit-plane tile codec, byte-equal to the
+  staged bitshuffle + zero-block stages, into a CRC-trailed ``FZIN`` stream.
 
 Two implementations are provided and are **byte-identical** by
 construction: the staged reference walks targets one hyperplane at a time;
-the vectorized fast path computes every target of a pass at once.  Both
-share the same prediction/quantization helpers, so each target sees the
-same float64 expression tree regardless of implementation — conformance is
-pinned by ``tests/test_planner.py``.
+the vectorized fast path splits a pass's targets into at most four strided
+runs, one per prediction rule, and works on basic-slice views with pooled
+buffers.  Both apply the same float64 operations in the same order, so each
+target sees the same expression tree regardless of implementation —
+conformance is pinned by ``tests/test_planner.py``.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry
-from repro.core.bitshuffle import bitshuffle, bitunshuffle
-from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks, decode_zero_blocks, encode_zero_blocks
+from repro.backends.fused import TARGET_SLAB_CODES, TILE_CODES, TileDecoder
+from repro.backends.fused import encode_tiles, join_tiles
+from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks
 from repro.core.format import MAX_ELEMENTS, implied_block_count
 from repro.core.pipeline import CompressionResult
 from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
 from repro.errors import ConfigError, DecompressionError, FormatError
+from repro.utils.pool import Scratch
 from repro.utils.safeio import BoundedReader
 from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
 
@@ -92,44 +95,10 @@ def default_anchor_log2(shape: tuple[int, ...]) -> int:
     return 6 if len(shape) == 1 else 4
 
 
-# -- shared prediction / residual arithmetic --------------------------------
-# Both implementations call exactly these helpers, so every target sees the
-# same float64 expression tree — the root of the byte-identity guarantee.
-
-
-def _cubic(a, b, c, d):
-    """4-point cubic midpoint: ``(9(b + c) - (a + d)) / 16`` (float64)."""
-    return (9.0 * (b + c) - (a + d)) / 16.0
-
-
-def _linear(a, b):
-    return (a + b) * 0.5
-
-
-def _quantize_residual(
-    v: np.ndarray, pred: np.ndarray, eb2: float
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Quantize residuals to sign-magnitude codes, returning the clamped
-    float64 deltas the encoder must reconstruct with (codes, delta, n_sat,
-    max_abs)."""
-    t = np.rint((v - pred) / eb2)
-    mag = np.abs(t)
-    n_sat = int(np.count_nonzero(mag > MAX_MAGNITUDE))
+def _max_abs(mag: np.ndarray) -> int:
+    """Largest unclamped residual magnitude, capped at ``2**62``."""
     m = float(np.max(mag, initial=0.0))
-    max_abs = int(m) if m <= float(1 << 62) else 1 << 62
-    mag = np.minimum(mag, float(MAX_MAGNITUDE))
-    codes = mag.astype(np.uint16)
-    neg = t < 0.0
-    codes = codes | np.where(neg, SIGN_BIT, np.uint16(0))
-    delta = np.where(neg, -mag, mag)
-    return codes, delta, n_sat, max_abs
-
-
-def _residual_from_codes(codes: np.ndarray) -> np.ndarray:
-    """Sign-magnitude codes back to float64 deltas (decode side)."""
-    mag = (codes & np.uint16(MAX_MAGNITUDE)).astype(np.float64)
-    neg = (codes & SIGN_BIT) != 0
-    return np.where(neg, -mag, mag)
+    return int(m) if m <= float(1 << 62) else 1 << 62
 
 
 def _axis_sel(ndim: int, axis: int, at) -> tuple:
@@ -154,8 +123,14 @@ def _region(ndim: int, axis: int, s: int) -> tuple:
 # -- the two pass implementations -------------------------------------------
 
 
-def _pass_reference(rec, src, codes, axis, s, eb2, encode):
-    """Staged reference: one hyperplane of targets at a time."""
+def _pass_reference(rec, src, codes, axis, s, eb2, encode, scratch):
+    """Staged reference: one hyperplane of targets at a time.
+
+    This is the oracle.  Predictions are the 4-point cubic midpoint
+    ``(9(b + c) - (a + d)) / 16``, the linear ``(b + c) * 0.5`` or the
+    nearest-left ``b``; residuals are clamped sign-magnitude codes.  The
+    vectorized pass repeats these float64 operations in the same order.
+    """
     d = rec.shape[axis]
     nd = rec.ndim
     n_sat = 0
@@ -165,66 +140,91 @@ def _pass_reference(rec, src, codes, axis, s, eb2, encode):
         if i + s >= d:
             pred = left
         elif i - 3 * s >= 0 and i + 3 * s < d:
-            pred = _cubic(
-                rec[_axis_sel(nd, axis, i - 3 * s)],
-                left,
-                rec[_axis_sel(nd, axis, i + s)],
-                rec[_axis_sel(nd, axis, i + 3 * s)],
-            )
+            far = rec[_axis_sel(nd, axis, i - 3 * s)]
+            far = far + rec[_axis_sel(nd, axis, i + 3 * s)]
+            pred = (9.0 * (left + rec[_axis_sel(nd, axis, i + s)]) - far) / 16.0
         else:
-            pred = _linear(left, rec[_axis_sel(nd, axis, i + s)])
+            pred = (left + rec[_axis_sel(nd, axis, i + s)]) * 0.5
         sel = _axis_sel(nd, axis, i)
         if encode:
-            c, delta, ns, ma = _quantize_residual(src[sel], pred, eb2)
-            codes[sel] = c
-            rec[sel] = pred + delta * eb2
-            n_sat += ns
-            max_abs = max(max_abs, ma)
+            t = np.rint((src[sel] - pred) / eb2)
+            mag = np.abs(t)
+            n_sat += int(np.count_nonzero(mag > MAX_MAGNITUDE))
+            max_abs = max(max_abs, _max_abs(mag))
+            mag = np.minimum(mag, float(MAX_MAGNITUDE))
+            neg = t < 0.0
+            codes[sel] = mag.astype(np.uint16) | np.where(neg, SIGN_BIT, np.uint16(0))
         else:
-            rec[sel] = pred + _residual_from_codes(codes[sel]) * eb2
+            mag = (codes[sel] & np.uint16(MAX_MAGNITUDE)).astype(np.float64)
+            neg = (codes[sel] & SIGN_BIT) != 0
+        rec[sel] = pred + np.where(neg, -mag, mag) * eb2
     return n_sat, max_abs
 
 
-def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
-    """Fast path: every target of the pass in one shot.
+def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
+    """Fast path: every target of the pass through basic strided views.
 
-    Neighbors are never targets of the same pass (targets sit at odd
-    multiples of ``s``, neighbors at even ones), so reading them all before
-    writing any target is exactly equivalent to the reference's in-order
-    walk.  The per-target prediction rule (nearest / linear / cubic) is
-    applied through the same shared helpers, in the same precedence.
+    Targets sit at odd multiples of ``s`` and neighbors at even ones, so
+    reading every neighbor before writing any target matches the
+    reference's in-order walk.  Each prediction rule covers one contiguous
+    run of targets (linear head, cubic interior, linear tail, nearest-left
+    last), so all reads and writes are views; arithmetic goes through
+    pooled buffers with ``out=``, in the reference's order.
     """
     d = rec.shape[axis]
     nd = rec.ndim
-    idx = np.arange(s, d, 2 * s)
-    if idx.size == 0:
+    n_t = len(range(s, d, 2 * s))
+    if n_t == 0:
         return 0, 0
-    pred = np.take(rec, idx - s, axis=axis)  # nearest-left default
-    has_right = idx + s < d
-    if has_right.any():
-        ri = idx[has_right]
-        lin = _linear(
-            np.take(rec, ri - s, axis=axis), np.take(rec, ri + s, axis=axis)
-        )
-        pred[_axis_sel(nd, axis, np.flatnonzero(has_right))] = lin
-    cubic = has_right & (idx - 3 * s >= 0) & (idx + 3 * s < d)
-    if cubic.any():
-        ci = idx[cubic]
-        cub = _cubic(
-            np.take(rec, ci - 3 * s, axis=axis),
-            np.take(rec, ci - s, axis=axis),
-            np.take(rec, ci + s, axis=axis),
-            np.take(rec, ci + 3 * s, axis=axis),
-        )
-        pred[_axis_sel(nd, axis, np.flatnonzero(cubic))] = cub
-    sel = _axis_sel(nd, axis, idx)
+    n_r = len(range(s, d - s, 2 * s))  # targets with a right neighbor
+    n_c = max(1, len(range(s, d - 3 * s, 2 * s)))  # end of the cubic run
+
+    def at(k0, k1, off):  # positions (2k + 1)s + off of targets k0 <= k < k1
+        span = slice((2 * k0 + 1) * s + off, 2 * k1 * s + off, 2 * s)
+        return rec[_axis_sel(nd, axis, span)]
+
+    tgt = _axis_sel(nd, axis, slice(s, d, 2 * s))
+    shape = rec[tgt].shape
+    pred = scratch.take("fzin.pred", shape, np.float64)
+    # mag holds the cubic's (a + d) first, then the residuals
+    mag = scratch.take("fzin.mag", shape, np.float64)
+    for k0, k1 in ((0, min(n_r, 1)), (n_c, n_r)):  # linear head and tail
+        if k0 < k1:
+            p = pred[_axis_sel(nd, axis, slice(k0, k1))]
+            np.add(at(k0, k1, -s), at(k0, k1, s), out=p)
+            np.multiply(p, 0.5, out=p)
+    if n_c > 1:  # cubic interior
+        p = pred[_axis_sel(nd, axis, slice(1, n_c))]
+        np.add(at(1, n_c, -s), at(1, n_c, s), out=p)
+        np.multiply(p, 9.0, out=p)
+        ad = mag[_axis_sel(nd, axis, slice(1, n_c))]
+        np.add(at(1, n_c, -3 * s), at(1, n_c, 3 * s), out=ad)
+        np.subtract(p, ad, out=p)
+        np.divide(p, 16.0, out=p)
+    if n_r < n_t:  # trailing target without a right neighbor
+        np.copyto(pred[_axis_sel(nd, axis, slice(n_r, n_t))], at(n_r, n_t, -s))
+    c = codes[tgt]
+    neg = scratch.take("fzin.neg", shape, bool)
+    n_sat = max_abs = 0
     if encode:
-        c, delta, n_sat, max_abs = _quantize_residual(src[sel], pred, eb2)
-        codes[sel] = c
-        rec[sel] = pred + delta * eb2
-        return n_sat, max_abs
-    rec[sel] = pred + _residual_from_codes(codes[sel]) * eb2
-    return 0, 0
+        np.subtract(src[tgt], pred, out=mag)
+        np.divide(mag, eb2, out=mag)
+        np.rint(mag, out=mag)
+        np.less(mag, 0.0, out=neg)
+        np.absolute(mag, out=mag)
+        max_abs = _max_abs(mag)
+        if max_abs > MAX_MAGNITUDE:  # rare: count and clamp saturated codes
+            n_sat = int(np.count_nonzero(mag > MAX_MAGNITUDE))
+            np.minimum(mag, float(MAX_MAGNITUDE), out=mag)
+        np.copyto(c, mag, casting="unsafe")
+        np.bitwise_or(c, SIGN_BIT, out=c, where=neg)
+    else:
+        np.bitwise_and(c, np.uint16(MAX_MAGNITUDE), out=mag)
+        np.greater_equal(c, SIGN_BIT, out=neg)
+    np.negative(mag, out=mag, where=neg)
+    np.multiply(mag, eb2, out=mag)
+    np.add(pred, mag, out=rec[tgt])
+    return n_sat, max_abs
 
 
 _IMPLS: dict[str, Callable] = {
@@ -244,7 +244,7 @@ def _resolve_impl(impl: str | None) -> Callable:
     return fn
 
 
-def _run_levels(rec, src, codes, anchor_log2, eb2, encode, impl_pass):
+def _run_levels(rec, src, codes, anchor_log2, eb2, encode, impl_pass, scratch):
     """Drive every (level, axis) pass; returns (n_saturated, max_abs)."""
     ndim = rec.ndim
     n_sat = 0
@@ -261,6 +261,7 @@ def _run_levels(rec, src, codes, anchor_log2, eb2, encode, impl_pass):
                 s,
                 eb2,
                 encode,
+                scratch,
             )
             n_sat += ns
             max_abs = max(max_abs, ma)
@@ -294,8 +295,7 @@ def interp_compress(
     ``impl`` selects the pass implementation (``"reference"`` /
     ``"vectorized"``; default the ``REPRO_INTERP_IMPL`` environment
     variable, then vectorized) — output bytes are identical for both.
-    ``scratch`` routes the bitshuffle/zero-block stages through the pooled
-    hotpath kernels (byte-identical by the hotpath contract).
+    ``scratch`` lends the pooled working buffers (a private one otherwise).
     """
     data = ensure_ndim(ensure_float32(data))
     eb_abs = ensure_positive(eb_abs, "eb_abs")
@@ -304,31 +304,30 @@ def interp_compress(
         anchor_log2 = default_anchor_log2(data.shape)
     if not 1 <= anchor_log2 <= _MAX_ANCHOR_LOG2:
         raise ConfigError(f"anchor_log2 must be in [1, {_MAX_ANCHOR_LOG2}]")
+    scratch = Scratch() if scratch is None else scratch
     eb2 = 2.0 * eb_abs
     with telemetry.span("stage.interp.predict"):
-        src = data.astype(np.float64)
-        rec = np.empty(data.shape, dtype=np.float64)
-        codes = np.zeros(data.shape, dtype=np.uint16)
+        rec = scratch.take("fzin.rec", data.shape, np.float64)
+        # codes are zero-padded to whole tiles, as bitshuffle pads them
+        n = data.size
+        padded = scratch.take("fzin.codes", (n + (-n) % TILE_CODES,), np.uint16)
+        padded[n:] = 0
+        codes = padded[:n].reshape(data.shape)
         s0 = 1 << anchor_log2
         asel = tuple(slice(None, None, s0) for _ in range(data.ndim))
-        anchors = np.rint(src[asel] / eb2).astype(np.int64)
+        anchors = np.rint(data[asel].astype(np.float64) / eb2).astype(np.int64)
         rec[asel] = anchors.astype(np.float64) * eb2
+        codes[asel] = 0
+        # data stays float32: it promotes exactly inside the float64 ufuncs
         n_sat, max_abs = _run_levels(
-            rec, src, codes, anchor_log2, eb2, True, impl_pass
+            rec, data, codes, anchor_log2, eb2, True, impl_pass, scratch
         )
-    flat = codes.reshape(-1)
-    if scratch is not None:
-        from repro.core.hotpath import bitshuffle_pooled, encode_zero_blocks_pooled
-
-        with telemetry.span("stage.bitshuffle"):
-            words = bitshuffle_pooled(flat, scratch)
-        with telemetry.span("stage.encode"):
-            encoded = encode_zero_blocks_pooled(words, scratch)
-    else:
-        with telemetry.span("stage.bitshuffle"):
-            words = bitshuffle(flat)
-        with telemetry.span("stage.encode"):
-            encoded = encode_zero_blocks(words)
+    with telemetry.span("stage.encode"):  # in cache-sized slabs of tiles
+        step = TARGET_SLAB_CODES
+        encoded = join_tiles([
+            encode_tiles(padded[lo : lo + step], scratch)
+            for lo in range(0, padded.size, step)
+        ])
     anchors_le = np.ascontiguousarray(anchors, dtype=_ANCHOR_DTYPE)
     header = struct.pack(
         _HEADER_FMT,
@@ -362,8 +361,8 @@ def interp_compress(
         n_blocks=encoded.n_blocks,
         n_nonzero_blocks=encoded.n_nonzero,
         stage_sizes={
-            "codes_bytes": int(flat.nbytes),
-            "shuffled_bytes": int(words.nbytes),
+            "codes_bytes": int(codes.nbytes),
+            "shuffled_bytes": encoded.n_blocks * BLOCK_BYTES,
             "flags_bytes": int(encoded.bitflags.nbytes),
             "literals_bytes": int(encoded.literals.nbytes),
             "anchors_bytes": int(anchors_le.nbytes),
@@ -540,25 +539,25 @@ def interp_decompress(
         bitflags=flags, literals=literals, n_blocks=n_blocks, n_nonzero=n_nonzero
     )
     n_codes = math.prod(shape)
-    if scratch is not None:
-        from repro.core.hotpath import bitunshuffle_pooled, decode_zero_blocks_pooled
-
-        words = decode_zero_blocks_pooled(encoded, scratch)
-        codes_flat = bitunshuffle_pooled(words, n_codes, scratch)
-    else:
-        words = decode_zero_blocks(encoded)
-        codes_flat = bitunshuffle(words, n_codes)
-    codes = codes_flat.reshape(shape)
+    scratch = Scratch() if scratch is None else scratch
+    with telemetry.span("stage.decode"):
+        tiles = TileDecoder(encoded, n_codes, scratch)
+        codes = scratch.take("fzin.codes", shape, np.uint16)
+        for lo in range(0, n_codes, TARGET_SLAB_CODES):
+            hi = min(lo + TARGET_SLAB_CODES, n_codes)
+            codes.reshape(-1)[lo:hi] = tiles.codes(lo, hi)
     with telemetry.span("stage.interp.reconstruct"):
         eb2 = 2.0 * eb_abs
-        rec = np.empty(shape, dtype=np.float64)
+        rec = scratch.take("fzin.rec", shape, np.float64)
         s0 = 1 << anchor_log2
         asel = tuple(slice(None, None, s0) for _ in range(len(shape)))
         try:
             rec[asel] = anchors.reshape(
                 _anchor_grid_shape(shape, anchor_log2)
             ).astype(np.float64) * eb2
-            _run_levels(rec, None, codes, anchor_log2, eb2, False, impl_pass)
+            _run_levels(
+                rec, None, codes, anchor_log2, eb2, False, impl_pass, scratch
+            )
         except ValueError as exc:
             raise DecompressionError(f"inconsistent FZIN stream: {exc}") from exc
     return rec.astype(np.float32)

@@ -4,19 +4,24 @@
 must reject inconsistent block counts and flag-array lengths *up front*
 with :class:`~repro.errors.DecompressionError` — never by letting a
 downstream NumPy ``ValueError`` escape from a negative reshape or a
-mis-sized scatter.
+mis-sized scatter.  The shared bit-plane tile codec of the fused backend
+(also the FZIN plan's) must equal the staged bitshuffle + zero-block stages
+it replaces, ladder included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.fused import TILE_CODES, TileDecoder, encode_tiles, join_tiles
 from repro.core import hotpath
-from repro.core.encoder import EncodedBlocks, encode_zero_blocks
+from repro.core.bitshuffle import bitshuffle, bitunshuffle
+from repro.core.encoder import EncodedBlocks, decode_zero_blocks, encode_zero_blocks
 from repro.errors import DecompressionError
 from repro.utils.pool import Scratch
 
@@ -121,3 +126,60 @@ class TestBackendDecodeHardening:
         bad = dataclasses.replace(out.encoded, n_nonzero=out.encoded.n_nonzero + 1)
         with pytest.raises(DecompressionError):
             b.decode(bad, out.padded_shape, (64, 64), 1e-3, (16, 16))
+
+
+# code counts around the 2048-code tile edge, plus several tiles and a tail
+TILE_COUNTS = [1, 2047, 2048, 2049, 5 * 2048, 5 * 2048 + 1000]
+
+
+def _tile_codes(n: int, kind: str) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(n, np.uint16)
+    rng = np.random.default_rng(n)
+    return rng.integers(1, 2**16, size=n, dtype=np.uint16)  # all non-zero
+
+
+@pytest.mark.parametrize("kind", ["zero", "nonzero"])
+@pytest.mark.parametrize("n", TILE_COUNTS)
+class TestTileCodecOracle:
+    """The shared bit-plane tile codec equals the staged bitshuffle stages."""
+
+    def test_encode_matches_staged(self, n, kind):
+        codes = _tile_codes(n, kind)
+        want = encode_zero_blocks(bitshuffle(codes))
+        padded = np.zeros(-(-n // TILE_CODES) * TILE_CODES, np.uint16)
+        padded[:n] = codes
+        whole = join_tiles([encode_tiles(padded, Scratch())])
+        scratch = Scratch()  # one tile at a time, as the fused slab loop does
+        per_tile = join_tiles([
+            encode_tiles(padded[lo : lo + TILE_CODES], scratch)
+            for lo in range(0, padded.size, TILE_CODES)
+        ])
+        for got in (whole, per_tile):
+            assert got.n_blocks == want.n_blocks
+            assert got.n_nonzero == want.n_nonzero
+            assert np.array_equal(got.bitflags, want.bitflags)
+            assert np.array_equal(got.literals, want.literals)
+
+    def test_decode_matches_staged(self, n, kind):
+        encoded = encode_zero_blocks(bitshuffle(_tile_codes(n, kind)))
+        want = bitunshuffle(decode_zero_blocks(encoded), n)
+        tiles = TileDecoder(encoded, n, Scratch())
+        assert np.array_equal(tiles.codes(0, n), want)
+        for lo, hi in ((n // 3, n), (0, (n + 1) // 2), (n - 1, n)):
+            assert np.array_equal(tiles.codes(lo, hi), want[lo:hi])
+
+    def test_decode_ladder_matches_staged(self, n, kind):
+        encoded = encode_zero_blocks(bitshuffle(_tile_codes(n, kind)))
+        forged = [
+            dataclasses.replace(encoded, n_blocks=-1),
+            dataclasses.replace(encoded, n_nonzero=encoded.n_nonzero + 1),
+            dataclasses.replace(encoded, bitflags=encoded.bitflags[:-1]),
+        ]
+        for bad in forged:
+            with pytest.raises(DecompressionError) as staged:
+                decode_zero_blocks(bad)
+            with pytest.raises(DecompressionError, match=re.escape(str(staged.value))):
+                TileDecoder(bad, n, Scratch())
+        with pytest.raises(DecompressionError, match="codes"):
+            TileDecoder(encoded, 2 * encoded.n_blocks * 4 + 1, Scratch())

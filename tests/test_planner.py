@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.pipeline import FZGPU
@@ -269,6 +273,61 @@ class TestInterp:
             interp_decompress(bad)
         with pytest.raises(FormatError):
             interp_info(bad)
+
+
+#: the identity property runs deeper under RUN_SLOW (the CI planner job)
+_IDENTITY_EXAMPLES = 400 if os.environ.get("RUN_SLOW") else 40
+
+
+@st.composite
+def _interp_cases(draw):
+    """(data, eb, anchor_log2, spiked): run-boundary shapes, all kinds."""
+    anchor_log2 = draw(st.integers(1, 5))
+    s = 1 << anchor_log2
+    shape: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        budget = (1 << 15) // math.prod(shape)
+        lengths = [n for n in (1, s, 2 * s, 2 * s + 1, 3 * s, 4 * s + 1)
+                   if n <= budget]
+        shape.append(draw(st.sampled_from(lengths)))
+    eb = draw(st.sampled_from([1e-6, 1e-4, 1e-2, 1.0])) * draw(
+        st.floats(1.0, 9.9)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "rough", "spiky"]))
+    data = rng.standard_normal(shape)
+    if kind != "rough":
+        for axis in range(len(shape)):
+            data = np.cumsum(data, axis=axis)
+    # a spike ~10**6 quanta tall on a predicted (non-anchor) point
+    # saturates its residual
+    grid = np.indices(shape).reshape(len(shape), -1)
+    free = np.flatnonzero((grid % s != 0).any(axis=0))
+    spiked = kind == "spiky" and free.size > 0
+    if spiked:
+        data.reshape(-1)[rng.choice(free)] += rng.choice([-1e6, 1e6]) * eb
+    data = data.astype(np.float32)
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "fortran":
+        data = np.asfortranarray(data)
+    elif layout == "strided":
+        data = np.repeat(data, 2, axis=-1)[..., ::2]
+    return data, eb, anchor_log2, spiked
+
+
+@given(case=_interp_cases())
+@settings(max_examples=_IDENTITY_EXAMPLES, deadline=None)
+def test_interp_impls_identical(case):
+    """impl="vectorized" matches the reference oracle byte for byte."""
+    data, eb, anchor_log2, spiked = case
+    ref = interp_compress(data, eb, anchor_log2=anchor_log2, impl="reference")
+    vec = interp_compress(data, eb, anchor_log2=anchor_log2, impl="vectorized")
+    assert vec.stream == ref.stream
+    assert vec.quantizer == ref.quantizer
+    assert ref.quantizer.n_saturated > 0 or not spiked
+    dec_ref = interp_decompress(ref.stream, impl="reference")
+    dec_vec = interp_decompress(vec.stream, impl="vectorized")
+    assert np.array_equal(dec_ref.view(np.uint32), dec_vec.view(np.uint32))
 
 
 # ---------------------------------------------------------------------------
