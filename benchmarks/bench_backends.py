@@ -1,14 +1,15 @@
-"""Kernel-backend shootout: fused vs pooled vs reference (Fig. 10 analog).
+"""Kernel-backend shootout: fused vs reference (Fig. 10 analog).
 
 Compresses every Table 1 synthetic field single-shot through each
 registered backend, checks the streams are byte-identical, and records
-per-backend wall time / throughput plus the fused-over-pooled speedup to
-``benchmarks/results/BENCH_backends.json``.
+per-backend wall time / throughput plus the fused-over-reference speedup
+to ``benchmarks/results/BENCH_backends.json``.
 
 The committed copy at ``benchmarks/BENCH_backends.json`` is the perf
-trajectory baseline: the gate fails if fused drops below 1.5x pooled on
-any 2-D/3-D field (the acceptance floor) or regresses below
-``GATE_MARGIN`` of the committed speedup for that field.  Regenerate the
+trajectory baseline: the gate fails if fused drops below its per-field
+``SPEEDUP_FLOOR`` over reference on any 2-D/3-D field (the acceptance
+floor) or regresses below ``GATE_MARGIN`` of the committed speedup for
+that field.  Regenerate the
 baseline with ``REPRO_UPDATE_BENCH=1`` after an intentional perf change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_backends.py -q
@@ -30,10 +31,14 @@ from repro.harness import render_table
 EB = 1e-3
 MODE = "rel"
 REPEATS = 3
-BACKENDS = ("reference", "pooled", "fused")
+BACKENDS = ("reference", "fused")
 
-#: Acceptance floor: fused must beat pooled by this factor on 2-D/3-D fields.
-SPEEDUP_FLOOR = 1.5
+#: Acceptance floor of fused over reference per 2-D/3-D field: 1.5x the
+#: staged scratch-arena kernels' committed speedup over reference (the
+#: fused backend's first bar), rounded up to one decimal.
+SPEEDUP_FLOOR = {
+    "cesm": 6.7, "hurricane": 4.9, "nyx": 6.5, "qmcpack": 6.2, "rtm": 7.0,
+}
 #: A fresh run may fall to this fraction of the committed baseline speedup
 #: before the gate fails (absorbs machine-to-machine and CI-load noise).
 GATE_MARGIN = 0.6
@@ -66,7 +71,6 @@ def _measure() -> dict:
             "mb": data.nbytes / 1e6,
             "ms": {b: times[b] * 1e3 for b in BACKENDS},
             "mb_per_s": {b: data.nbytes / 1e6 / times[b] for b in BACKENDS},
-            "fused_vs_pooled": times["pooled"] / times["fused"],
             "fused_vs_reference": times["reference"] / times["fused"],
             "byte_identical": all(
                 streams[b] == streams["reference"] for b in BACKENDS
@@ -96,9 +100,8 @@ def test_backend_shootout(benchmark, record_result):
             "dataset": name,
             "shape": "x".join(str(d) for d in f["shape"]),
             "reference_ms": f"{f['ms']['reference']:.2f}",
-            "pooled_ms": f"{f['ms']['pooled']:.2f}",
             "fused_ms": f"{f['ms']['fused']:.2f}",
-            "fused_vs_pooled": f"{f['fused_vs_pooled']:.2f}x",
+            "fused_vs_reference": f"{f['fused_vs_reference']:.2f}x",
             "byte_identical": f["byte_identical"],
         }
         for name, f in results["fields"].items()
@@ -116,16 +119,17 @@ def test_backend_shootout(benchmark, record_result):
     )
     failures = []
     for name, f in results["fields"].items():
-        speedup = f["fused_vs_pooled"]
-        if f["ndim"] >= 2 and speedup < SPEEDUP_FLOOR:
+        speedup = f["fused_vs_reference"]
+        floor = SPEEDUP_FLOOR.get(name)
+        if floor is not None and speedup < floor:
             failures.append(
-                f"{name}: fused {speedup:.2f}x pooled < floor {SPEEDUP_FLOOR}x"
+                f"{name}: fused {speedup:.2f}x reference < floor {floor}x"
             )
         if baseline is not None and name in baseline["fields"]:
-            committed = baseline["fields"][name]["fused_vs_pooled"]
+            committed = baseline["fields"][name]["fused_vs_reference"]
             if speedup < GATE_MARGIN * committed:
                 failures.append(
-                    f"{name}: fused {speedup:.2f}x pooled regressed below "
+                    f"{name}: fused {speedup:.2f}x reference regressed below "
                     f"{GATE_MARGIN:.0%} of committed {committed:.2f}x"
                 )
     assert not failures, "; ".join(failures)

@@ -1,15 +1,16 @@
-"""Decode-side backend shootout: fused vs pooled vs reference.
+"""Decode-side backend shootout: fused vs reference.
 
 Mirrors ``bench_backends.py`` for the decompression direction: every
 Table 1 synthetic field is compressed once with the reference backend,
 then the stream is decoded single-shot through each registered backend.
 Reconstructions must be bit-identical; per-backend wall time, throughput
-and the fused-over-pooled decode speedup land in
+and the fused-over-reference decode speedup land in
 ``benchmarks/results/BENCH_decode.json``.
 
 The committed copy at ``benchmarks/BENCH_decode.json`` is the decode perf
-trajectory baseline: the gate fails if fused decode drops below 1.5x
-pooled on any 2-D/3-D field (the acceptance floor) or regresses below
+trajectory baseline: the gate fails if fused decode drops below its
+per-field ``SPEEDUP_FLOOR`` over reference on any 2-D/3-D field (the
+acceptance floor) or regresses below
 ``GATE_MARGIN`` of the committed speedup for that field.  Regenerate the
 baseline with ``REPRO_UPDATE_BENCH=1`` after an intentional perf change:
 
@@ -33,10 +34,14 @@ from repro.harness import render_table
 EB = 1e-3
 MODE = "rel"
 REPEATS = 3
-BACKENDS = ("reference", "pooled", "fused")
+BACKENDS = ("reference", "fused")
 
-#: Acceptance floor: fused decode must beat pooled by this on 2-D/3-D fields.
-SPEEDUP_FLOOR = 1.5
+#: Acceptance floor of fused decode over reference per 2-D/3-D field: 1.5x
+#: the staged scratch-arena decoders' committed speedup over reference (the
+#: fused decoder's first bar), rounded up to one decimal.
+SPEEDUP_FLOOR = {
+    "cesm": 5.3, "hurricane": 6.1, "nyx": 5.2, "qmcpack": 5.3, "rtm": 6.4,
+}
 #: A fresh run may fall to this fraction of the committed baseline speedup
 #: before the gate fails (absorbs machine-to-machine and CI-load noise).
 GATE_MARGIN = 0.6
@@ -70,7 +75,6 @@ def _measure() -> dict:
             "mb": data.nbytes / 1e6,
             "ms": {b: times[b] * 1e3 for b in BACKENDS},
             "mb_per_s": {b: data.nbytes / 1e6 / times[b] for b in BACKENDS},
-            "fused_vs_pooled": times["pooled"] / times["fused"],
             "fused_vs_reference": times["reference"] / times["fused"],
             "bit_identical": all(
                 np.array_equal(recons[b], recons["reference"]) for b in BACKENDS
@@ -100,9 +104,8 @@ def test_decode_shootout(benchmark, record_result):
             "dataset": name,
             "shape": "x".join(str(d) for d in f["shape"]),
             "reference_ms": f"{f['ms']['reference']:.2f}",
-            "pooled_ms": f"{f['ms']['pooled']:.2f}",
             "fused_ms": f"{f['ms']['fused']:.2f}",
-            "fused_vs_pooled": f"{f['fused_vs_pooled']:.2f}x",
+            "fused_vs_reference": f"{f['fused_vs_reference']:.2f}x",
             "bit_identical": f["bit_identical"],
         }
         for name, f in results["fields"].items()
@@ -120,17 +123,18 @@ def test_decode_shootout(benchmark, record_result):
     )
     failures = []
     for name, f in results["fields"].items():
-        speedup = f["fused_vs_pooled"]
-        if f["ndim"] >= 2 and speedup < SPEEDUP_FLOOR:
+        speedup = f["fused_vs_reference"]
+        floor = SPEEDUP_FLOOR.get(name)
+        if floor is not None and speedup < floor:
             failures.append(
-                f"{name}: fused decode {speedup:.2f}x pooled < floor "
-                f"{SPEEDUP_FLOOR}x"
+                f"{name}: fused decode {speedup:.2f}x reference < floor "
+                f"{floor}x"
             )
         if baseline is not None and name in baseline["fields"]:
-            committed = baseline["fields"][name]["fused_vs_pooled"]
+            committed = baseline["fields"][name]["fused_vs_reference"]
             if speedup < GATE_MARGIN * committed:
                 failures.append(
-                    f"{name}: fused decode {speedup:.2f}x pooled regressed "
+                    f"{name}: fused decode {speedup:.2f}x reference regressed "
                     f"below {GATE_MARGIN:.0%} of committed {committed:.2f}x"
                 )
     assert not failures, "; ".join(failures)

@@ -1,4 +1,4 @@
-"""Pluggable kernel backends (``reference`` / ``pooled`` / ``fused``).
+"""Kernel backends: ``fused`` (production) and ``reference`` (the oracle).
 
 All registered backends produce byte-identical streams; they differ in
 execution strategy only.  See :mod:`repro.backends.base` for the
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.backends.base import (
     AUTO,
-    BACKEND_ENV,
     EncodeOutcome,
     KernelBackend,
     available_backends,
@@ -19,16 +18,13 @@ from repro.backends.base import (
     resolve_backend,
 )
 from repro.backends.fused import FusedBackend
-from repro.backends.pooled import PooledBackend
 from repro.backends.reference import ReferenceBackend
 
 __all__ = [
     "AUTO",
-    "BACKEND_ENV",
     "EncodeOutcome",
     "KernelBackend",
     "ReferenceBackend",
-    "PooledBackend",
     "FusedBackend",
     "available_backends",
     "get_backend",
@@ -37,5 +33,4 @@ __all__ = [
 ]
 
 register_backend(ReferenceBackend())
-register_backend(PooledBackend())
 register_backend(FusedBackend())

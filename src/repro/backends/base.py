@@ -10,19 +10,14 @@ for every registered backend across the shape/mode/eb matrix, so a new
 backend registered here is automatically covered.
 
 Selection semantics (shared by :class:`repro.core.pipeline.FZGPU`, the
-engine and the CLI):
-
-* an explicit backend name (or instance) wins;
-* otherwise the ``REPRO_BACKEND`` environment variable;
-* otherwise ``"auto"`` — the historical behavior: the ``reference``
-  kernels for scratch-less single-shot calls, the ``pooled`` kernels when
-  a :class:`~repro.utils.pool.Scratch` arena is available (the engine's
-  steady state).
+engine and the CLI): an explicit backend name (or instance) wins;
+``None`` and ``"auto"`` select ``fused``, the production codec.
+``reference`` stays registered as the oracle the others are compared
+against.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -40,14 +35,10 @@ __all__ = [
     "get_backend",
     "available_backends",
     "resolve_backend",
-    "BACKEND_ENV",
     "AUTO",
 ]
 
-#: Environment variable consulted when no backend is selected explicitly.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Pseudo-backend name: pick ``reference`` or ``pooled`` by scratch presence.
+#: Pseudo-backend name for the production default, ``fused``.
 AUTO = "auto"
 
 
@@ -111,8 +102,8 @@ class KernelBackend:
     def _own_scratch(self, scratch: Scratch | None) -> Scratch:
         """Return the caller's scratch, or this thread's private arena.
 
-        Backends that need an arena even for scratch-less calls (pooled,
-        fused) keep one per thread: codec objects are shared across engine
+        Backends that need an arena even for scratch-less calls (fused)
+        keep one per thread: codec objects are shared across engine
         worker threads and a :class:`Scratch` must never be used by two
         concurrent tasks.
         """
@@ -154,22 +145,12 @@ def get_backend(name: str) -> KernelBackend:
         ) from None
 
 
-def resolve_backend(
-    selected: str | KernelBackend | None,
-    pooled: bool,
-) -> KernelBackend:
+def resolve_backend(selected: str | KernelBackend | None) -> KernelBackend:
     """Resolve a backend selection to a concrete :class:`KernelBackend`.
 
-    ``selected`` may be an instance (used as-is), a registered name,
-    ``"auto"``, or ``None`` (consult :data:`BACKEND_ENV`, then auto).
-    ``pooled`` tells the auto rule whether the caller supplied a scratch
-    arena.
+    ``selected`` may be an instance (used as-is), a registered name, or
+    ``None``/``"auto"`` for ``fused``.
     """
     if isinstance(selected, KernelBackend):
         return selected
-    name = selected
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or AUTO
-    if name == AUTO:
-        name = "pooled" if pooled else "reference"
-    return get_backend(name)
+    return get_backend("fused" if selected in (None, AUTO) else selected)

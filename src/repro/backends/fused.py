@@ -13,8 +13,8 @@ the way to encoded output while it is still resident:
    residuals **without materializing the int64 grid** — ``rint`` output is
    an exact float64 integer, and integer differences in float64 are exact
    while ``max |q| < 2**51``, so float64 subtraction commutes bit-for-bit
-   with the reference's int64 pipeline (a guard falls back to the staged
-   pooled path for pathological ``data/eb`` ratios);
+   with the reference's int64 pipeline (a guard falls back to the
+   ``reference`` kernels for pathological ``data/eb`` ratios);
 2. sign-magnitude encode in int16 — when no residual saturates (checked
    per slab), a two's-complement int16 of a magnitude ≤ 0x7FFF has bit 15
    set exactly when negative, i.e. the int16 bit pattern's top bit *is*
@@ -31,7 +31,7 @@ the way to encoded output while it is still resident:
 
 Output is **byte-identical** to the ``reference`` backend for every input
 (enforced by ``tests/test_backends_conformance.py``); the speedup over
-``pooled`` is recorded in ``BENCH_backends.json`` and gated in CI.
+``reference`` is recorded in ``BENCH_backends.json`` and gated in CI.
 
 Decoding runs the same argument in reverse: instead of four staged
 full-array passes (zero-block scatter → bit un-transpose → sign-magnitude
@@ -44,8 +44,8 @@ until the float32 rows are written out.  Decode magnitudes are masked to
 15 bits, so every per-chunk prefix sum — intermediates included — is
 bounded by ``0x7FFF * chunk_elems``; a single up-front ``uint16``
 max-reduction proves the whole slab fits int32 exactly; chunk geometries
-that might not take the same ``_NeedsExactPath`` fallback to the staged
-pooled decoders, which do int64 arithmetic.  The inverse Lorenzo
+that might not take the same ``_NeedsExactPath`` fallback to the
+``reference`` decoders, which do int64 arithmetic.  The inverse Lorenzo
 itself runs in place as a ladder of vectorized adds along each axis
 (``cumsum``'s element-by-element carry is far slower on short accumulate
 axes; long-chunk 1-D keeps ``cumsum``), and the final dequantize
@@ -64,8 +64,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.backends.base import EncodeOutcome, KernelBackend
-from repro.backends.reference import padded_stage_sizes
-from repro.core import hotpath
+from repro.backends.reference import ReferenceBackend, padded_stage_sizes
 from repro.core.bitshuffle import TILE_WORDS
 from repro.core.encoder import BLOCK_WORDS, EncodedBlocks, check_blocks
 from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
@@ -100,6 +99,10 @@ class _NeedsExactPath(Exception):
     """Raised when ``max |q|`` breaks the float64-exactness guard."""
 
 
+#: The int64 staged kernels both fallbacks run on.
+_EXACT = ReferenceBackend()
+
+
 def _transpose_bitplanes(B: np.ndarray, scratch: Scratch) -> None:
     """In-place 32x32 bit transpose of ``B`` in bit-plane-major layout.
 
@@ -107,8 +110,9 @@ def _transpose_bitplanes(B: np.ndarray, scratch: Scratch) -> None:
     The masked-swap network pairs rows ``c`` and ``c ^ j``, so every pass
     operates on contiguous ``(j * M)``-element slices — unlike the
     tile-major layout, where the ``j in (1, 2, 4)`` passes degrade to
-    stride-``j`` inner loops.  Same arithmetic as
-    :func:`repro.utils.bits.bit_transpose_32x32_fast`, hence bit-exact.
+    stride-``j`` inner loops.  A permutation of the same bits as
+    :func:`repro.utils.bits.bit_transpose_32x32` (the warp-ballot oracle),
+    hence bit-exact.
     """
     M = B.shape[1]
     for j, mask in zip(_SWAP_DISTANCES, _SWAP_MASKS):
@@ -431,8 +435,8 @@ def _fused_decode_codes(
         # — is a sub-box sum of one chunk's deltas, so max|mag| *
         # prod(chunk) bounds them all.  One cheap uint16 reduction proves
         # the whole slab fits int32 (default chunks can never trip it:
-        # 0x7FFF * 512 << 2**31); oversized custom chunks take the exact
-        # staged path instead
+        # 0x7FFF * 512 << 2**31); oversized custom chunks take the int64
+        # reference path instead
         f = scratch.take("fzd.i32a", view_shape, np.int32)
         bsrc = cr.reshape(view_shape)
         mag = scratch.take("fzd.m16", view_shape, np.uint16)
@@ -492,16 +496,8 @@ class FusedBackend(KernelBackend):
                 )
         except _NeedsExactPath:
             # data/eb ratio beyond float64-exact Lorenzo territory: the
-            # staged pooled path does int64 arithmetic and stays
-            # byte-identical by its own contract
-            with telemetry.span("stage.quantize"):
-                codes, padded_shape, stats = hotpath.dual_quantize_pooled(
-                    data, eb_abs, chunk, scratch
-                )
-            with telemetry.span("stage.bitshuffle"):
-                shuffled = hotpath.bitshuffle_pooled(codes, scratch)
-            with telemetry.span("stage.encode"):
-                encoded = hotpath.encode_zero_blocks_pooled(shuffled, scratch)
+            # reference kernels do int64 arithmetic
+            return _EXACT.encode(data, eb_abs, chunk)
         codes_bytes, shuffled_bytes = padded_stage_sizes(padded_shape)
         return EncodeOutcome(
             encoded=encoded,
@@ -527,15 +523,9 @@ class FusedBackend(KernelBackend):
                     encoded, padded_shape, orig_shape, eb_abs, chunk, scratch
                 )
         except _NeedsExactPath:
-            # a prefix sum crossed float64-exact territory (only crafted or
-            # pathological streams get here): the staged pooled path runs
-            # the inverse Lorenzo in int64 and is bit-identical by contract
-            n_codes = int(np.prod(padded_shape))
-            with telemetry.span("stage.decode"):
-                words = hotpath.decode_zero_blocks_pooled(encoded, scratch)
-            with telemetry.span("stage.bitunshuffle"):
-                codes = hotpath.bitunshuffle_pooled(words, n_codes, scratch)
-            with telemetry.span("stage.dequantize"):
-                return hotpath.dual_dequantize_pooled(
-                    codes, padded_shape, orig_shape, eb_abs, chunk, scratch
-                )
+            # a per-chunk prefix sum might overflow int32 (oversized custom
+            # chunks holding saturated residuals): the reference kernels run
+            # the inverse Lorenzo in int64
+            return _EXACT.decode(
+                encoded, padded_shape, orig_shape, eb_abs, chunk
+            )

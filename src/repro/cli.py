@@ -500,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rate", type=float, default=None,
                         help="bits/value (cuZFP only)")
         sp.add_argument("--backend", default=None, metavar="NAME",
-                        help="fz-gpu kernel backend: reference, pooled, fused "
-                             "or auto (default: $REPRO_BACKEND, then auto; "
-                             "output bytes are identical for every backend)")
+                        help="fz-gpu kernel backend: fused (the default, "
+                             "also 'auto') or reference (the oracle); output "
+                             "bytes are identical for every backend")
 
     def add_engine_opts(sp):
         sp.add_argument("--jobs", type=int, default=1,
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--port", type=int, default=8591,
                     help="listen port (0 picks an ephemeral port)")
     sp.add_argument("--backend", default=None, metavar="NAME",
-                    help="fz-gpu kernel backend (reference/pooled/fused/auto)")
+                    help="fz-gpu kernel backend (fused/reference/auto)")
     sp.add_argument("--max-inflight", type=int, default=32,
                     help="concurrent engine-bound requests before shedding 429")
     sp.add_argument("--max-connections", type=int, default=256,

@@ -34,12 +34,12 @@ from repro.utils.chunking import chunk_shape_for
 from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
 
 
-def _resolve_backend(selected, pooled: bool):
+def _resolve_backend(selected):
     # deferred: repro.backends pulls in the core kernel modules, which would
     # cycle with this module during ``repro.core`` package initialization
     from repro.backends import resolve_backend
 
-    return resolve_backend(selected, pooled)
+    return resolve_backend(selected)
 
 __all__ = [
     "FZGPU",
@@ -149,12 +149,11 @@ class FZGPU:
         Optional chunk-shape override for the dual-quantization stage
         (defaults to cuSZ geometry: 256 / 16x16 / 8x8x8).
     backend:
-        Kernel backend selection: a registered name (``"reference"``,
-        ``"pooled"``, ``"fused"``), a :class:`~repro.backends.KernelBackend`
-        instance, or ``None``/``"auto"`` to consult the ``REPRO_BACKEND``
-        environment variable and fall back to the historical rule (pooled
-        kernels when a scratch arena is passed, reference otherwise).  All
-        backends produce byte-identical streams.
+        Kernel backend selection: a registered name (``"fused"``,
+        ``"reference"``), a :class:`~repro.backends.KernelBackend`
+        instance, or ``None``/``"auto"`` for ``fused``, the production
+        codec.  All backends produce byte-identical streams; ``reference``
+        is the oracle the others are tested against.
     """
 
     name = "FZ-GPU"
@@ -185,16 +184,16 @@ class FZGPU:
         mode:
             ``"rel"`` (range-based relative, the paper's default) or ``"abs"``.
         scratch:
-            Optional :class:`repro.utils.pool.Scratch` arena.  When given,
-            the quantization/bitshuffle temporaries are taken from it (zero
-            steady-state allocation — the batch engine's hot path) and the
-            optimized masked-swap bit transpose is used.  The produced
-            stream is **byte-identical** to the default path; a scratch must
-            not be shared between concurrent calls.
+            Optional :class:`repro.utils.pool.Scratch` arena lending the
+            backend's working buffers (zero steady-state allocation — the
+            batch engine hands each worker one).  Without it, ``fused``
+            uses a private per-thread arena.  The stream is the same
+            either way; a scratch must not be shared between concurrent
+            calls.
         """
         data = ensure_ndim(ensure_float32(data))
         chunk = chunk_shape_for(data.ndim, self._chunk)
-        backend = _resolve_backend(self._backend, pooled=scratch is not None)
+        backend = _resolve_backend(self._backend)
         with telemetry.span("fz.compress") as root:
             eb_abs = resolve_error_bound(data, eb, mode)
 
@@ -216,7 +215,6 @@ class FZGPU:
                 stream = pack_stream(header, encoded)
             root.set("bytes_in", int(data.nbytes))
             root.set("bytes_out", len(stream))
-            root.set("pooled", scratch is not None)
             root.set("backend", backend.name)
         if telemetry.enabled():
             telemetry.counter("fz.compress_calls")
@@ -252,11 +250,10 @@ class FZGPU:
         and :class:`~repro.errors.DecompressionError` for streams that parse
         but decode inconsistently.
 
-        ``scratch`` mirrors :meth:`compress`: an optional pooled arena that
-        makes the decode temporaries allocation-free in the steady state
-        while reconstructing a bit-identical array.
+        ``scratch`` mirrors :meth:`compress`: an optional arena that makes
+        the decode temporaries allocation-free in the steady state.
         """
-        backend = _resolve_backend(self._backend, pooled=scratch is not None)
+        backend = _resolve_backend(self._backend)
         with telemetry.span("fz.decompress") as root:
             with telemetry.span("stage.unpack"):
                 header, encoded = unpack_stream(stream)
@@ -271,7 +268,6 @@ class FZGPU:
                 raise DecompressionError(f"inconsistent FZ-GPU stream: {exc}") from exc
             root.set("bytes_in", len(stream))
             root.set("bytes_out", int(out.nbytes))
-            root.set("pooled", scratch is not None)
             root.set("backend", backend.name)
         if telemetry.enabled():
             telemetry.counter("fz.decompress_calls")

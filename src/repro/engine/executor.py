@@ -233,10 +233,8 @@ class FileReport:
 _PROC_SCRATCH: Scratch | None = None
 
 
-def _proc_scratch(pooled: bool) -> Scratch | None:
+def _proc_scratch() -> Scratch:
     global _PROC_SCRATCH
-    if not pooled:
-        return None
     if _PROC_SCRATCH is None:
         _PROC_SCRATCH = Scratch()
     return _PROC_SCRATCH
@@ -324,13 +322,13 @@ def _proc_run(telem: bool, fn, index: int, attempt: int, plan_text: str):
 
 
 def _proc_compress(args) -> tuple[CompressionResult, dict | None]:
-    (data, eb, mode, chunk, backend, pooled, telem, plan), index, attempt, \
+    (data, eb, mode, chunk, backend, telem, plan), index, attempt, \
         plan_text = args
     return _proc_run(
         telem,
         lambda: _compress_task(
             _proc_codec(chunk, backend), data, eb, mode, plan,
-            _proc_scratch(pooled),
+            _proc_scratch(),
         ),
         index,
         attempt,
@@ -339,13 +337,13 @@ def _proc_compress(args) -> tuple[CompressionResult, dict | None]:
 
 
 def _proc_decompress(args) -> tuple[np.ndarray, dict | None]:
-    (stream, chunk, backend, pooled, telem), index, attempt, plan_text = args
+    (stream, chunk, backend, telem), index, attempt, plan_text = args
     return _proc_run(
         telem,
         lambda: decompress_any(
             stream,
             codec=_proc_codec(chunk, backend),
-            scratch=_proc_scratch(pooled),
+            scratch=_proc_scratch(),
         ),
         index,
         attempt,
@@ -378,13 +376,13 @@ def _attach_input(src):
 
 
 def _proc_compress_shm(args) -> tuple[CompressionResult, dict | None]:
-    (src, eb, mode, chunk, backend, pooled, telem, plan, out_desc), index, \
+    (src, eb, mode, chunk, backend, telem, plan, out_desc), index, \
         attempt, plan_text = args
 
     def body():
         result = _compress_task(
             _proc_codec(chunk, backend), _attach_input(src), eb, mode, plan,
-            _proc_scratch(pooled),
+            _proc_scratch(),
         )
         stream = result.stream
         if out_desc is None or len(stream) > out_desc.nbytes:
@@ -398,14 +396,14 @@ def _proc_compress_shm(args) -> tuple[CompressionResult, dict | None]:
 
 
 def _proc_decompress_shm(args) -> tuple[np.ndarray, dict | None]:
-    (src, out_desc, chunk, backend, pooled, telem), index, attempt, \
+    (src, out_desc, chunk, backend, telem), index, attempt, \
         plan_text = args
 
     def body():
         arr = decompress_any(
             _attach_input(src),
             codec=_proc_codec(chunk, backend),
-            scratch=_proc_scratch(pooled),
+            scratch=_proc_scratch(),
         )
         if (
             out_desc is None
@@ -496,23 +494,18 @@ class Engine:
         ``"thread"`` (default; NumPy releases the GIL in the hot kernels)
         or ``"process"`` (fallback for Python-overhead-bound workloads;
         fields/streams are pickled across the process boundary).
-    pooled:
-        Reuse per-worker scratch buffers (default).  Disable to measure
-        allocation overhead or to bisect a suspected pooling bug — output
-        bytes are identical either way.
     buffer_pool:
         Optional externally-owned :class:`BufferPool` to share arenas
-        across engines.
+        across engines (each worker borrows one :class:`Scratch` per task).
     chunk:
         Optional FZ-GPU chunk-shape override, forwarded to every codec.
     backend:
         Optional kernel-backend selection forwarded to every codec: a
-        registered name (``"reference"``, ``"pooled"``, ``"fused"``), a
+        registered name (``"fused"``, ``"reference"``), a
         :class:`~repro.backends.KernelBackend` instance (thread pools
         only; process workers receive the *name*, so the backend must be
         registered on import in the child too), or ``None``/``"auto"``
-        for the ``REPRO_BACKEND``-then-historical default.  Output bytes
-        are identical for every choice.
+        for ``fused``.  Output bytes are identical for every choice.
     retries:
         How many times a *retryable* task failure (transient error, worker
         crash, timeout) is re-enqueued before the task is quarantined with
@@ -550,7 +543,6 @@ class Engine:
         self,
         jobs: int = 1,
         pool: str = "thread",
-        pooled: bool = True,
         buffer_pool: BufferPool | None = None,
         chunk: tuple[int, ...] | None = None,
         backend=None,
@@ -583,7 +575,6 @@ class Engine:
             raise ConfigError(f"backoff must be >= 0, got {backoff}")
         self.jobs = jobs
         self.pool_kind = pool
-        self.pooled = bool(pooled)
         self.transport = transport
         self._shm: SharedArena | None = None
         self.plan = normalize_plan(plan)
@@ -795,7 +786,7 @@ class Engine:
             ledger.add(i, inputs, out)
             yield (
                 payload, eb, mode, self._chunk, self._backend_sel,
-                self.pooled, telem, plan, out_desc,
+                telem, plan, out_desc,
             )
 
     def _shm_decompress_items(
@@ -814,10 +805,7 @@ class Engine:
                     if out is not None:
                         out_desc = out.descriptor(shape, np.float32, writable=True)
             ledger.add(i, inputs, out, shape)
-            yield (
-                src, out_desc, self._chunk, self._backend_sel, self.pooled,
-                telem,
-            )
+            yield (src, out_desc, self._chunk, self._backend_sel, telem)
 
     def _drain_shm(
         self, results: Iterable, ledger: _ShmLedger, consume: Callable
@@ -925,7 +913,7 @@ class Engine:
     def _run_inline(self, thread_fn: Callable, thread_items: Iterable,
                     on_error: str) -> Iterator:
         """jobs=1 path: no executor, but the same retry/quarantine loop."""
-        scratch = self.buffer_pool.acquire() if self.pooled else None
+        scratch = self.buffer_pool.acquire()
         try:
             for index, item in enumerate(thread_items):
                 task = _Task(index, item)
@@ -947,8 +935,7 @@ class Engine:
                         yield out
                         break
         finally:
-            if scratch is not None:
-                self.buffer_pool.release(scratch)
+            self.buffer_pool.release(scratch)
 
     def _run_ordered(
         self,
@@ -1001,8 +988,6 @@ class Engine:
                 def run():
                     def body():
                         faults.fire_task(index, attempt, hard=False)
-                        if not self.pooled:
-                            return thread_fn(item, None)
                         with self.buffer_pool.borrow() as scratch:
                             return thread_fn(item, scratch)
 
@@ -1121,7 +1106,7 @@ class Engine:
         With the default ``"fast"`` plan each field is compressed exactly
         as ``FZGPU().compress(field, eb, mode)`` would — per-field streams
         are byte-identical to single-shot output regardless of
-        ``jobs``/``pool``/``pooled``, including runs that recovered from
+        ``jobs``/``pool``, including runs that recovered from
         worker crashes or transient failures.  ``plan`` overrides the
         engine default (:data:`repro.planner.REQUEST_PLANS`); planner
         routing is probe-deterministic, so streams stay independent of the
@@ -1162,8 +1147,8 @@ class Engine:
                         thread_fn,
                         _proc_compress,
                         fields,
-                        [(f, eb, mode, self._chunk, self._backend_sel,
-                          self.pooled, telem, plan) for f in fields],
+                        [(f, eb, mode, self._chunk, self._backend_sel, telem,
+                          plan) for f in fields],
                         on_error=on_error,
                     )
                 )
@@ -1206,7 +1191,7 @@ class Engine:
                         thread_fn,
                         _proc_decompress,
                         streams,
-                        [(b, self._chunk, self._backend_sel, self.pooled, telem)
+                        [(b, self._chunk, self._backend_sel, telem)
                          for b in streams],
                         on_error=on_error,
                     )
@@ -1232,7 +1217,7 @@ class Engine:
 
         def tasks():
             for blob in streams:
-                yield (blob, self._chunk, self._backend_sel, self.pooled, telem)
+                yield (blob, self._chunk, self._backend_sel, telem)
 
         with telemetry.span("engine.decompress_stream") as sp:
             n = 0
@@ -1349,8 +1334,7 @@ class Engine:
                     spans,
                     (
                         (np.ascontiguousarray(data[a:b]), eb_abs, "abs",
-                         self._chunk, self._backend_sel, self.pooled, telem,
-                         plan)
+                         self._chunk, self._backend_sel, telem, plan)
                         for a, b in spans
                     ),
                 )
@@ -1449,7 +1433,7 @@ class Engine:
                     thread_fn,
                     _proc_decompress,
                     payloads,
-                    [(b, self._chunk, self._backend_sel, self.pooled, telem)
+                    [(b, self._chunk, self._backend_sel, telem)
                      for b in payloads],
                 )
             for expected, chunk_arr in zip(extents, results):
@@ -1782,7 +1766,7 @@ class Engine:
                 thread_fn,
                 _proc_decompress,
                 payloads,
-                [(b, self._chunk, self._backend_sel, self.pooled, telem)
+                [(b, self._chunk, self._backend_sel, telem)
                  for b in payloads],
                 on_error=on_error,
             )

@@ -15,15 +15,15 @@ __all__ = [
     "unpack_bitflags",
     "popcount32",
     "bit_transpose_32x32",
-    "bit_transpose_32x32_fast",
 ]
 
 # Bit weights reused by the 32x32 transpose; allocating them once avoids a
 # per-call arange in the hot loop.
 _BIT_WEIGHTS_U32 = (np.uint32(1) << np.arange(32, dtype=np.uint32)).astype(np.uint32)
 
-# Column-pair masks for the masked-swap transpose, one per swap distance
-# j = 16, 8, 4, 2, 1: each mask selects the bit positions whose j-bit is 0.
+# Column-pair masks for the fused backend's masked-swap transpose
+# (Hacker's Delight §7-3), one per swap distance j = 16, 8, 4, 2, 1: each
+# mask selects the bit positions whose j-bit is 0.
 _SWAP_DISTANCES = (16, 8, 4, 2, 1)
 _SWAP_MASKS = tuple(
     np.uint32(m) for m in (0x0000FFFF, 0x00FF00FF, 0x0F0F0F0F, 0x33333333, 0x55555555)
@@ -116,62 +116,3 @@ def bit_transpose_32x32(tiles: np.ndarray) -> np.ndarray:
     swapped = expanded.swapaxes(-1, -2)
     out = (swapped * _BIT_WEIGHTS_U32).sum(axis=-1, dtype=np.uint64)
     return out.astype(np.uint32)
-
-
-def bit_transpose_32x32_fast(
-    tiles: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch=None,
-) -> np.ndarray:
-    """Bit-identical :func:`bit_transpose_32x32` via recursive masked swaps.
-
-    The reference implementation above mirrors the warp ballot loop
-    literally (expand every bit, gather, weighted sum) and blows each word
-    up 32x; this one runs the classic O(log 32) block-swap transpose
-    (Hacker's Delight §7-3, oriented for little-endian bit/word indexing):
-    five passes, each swapping the off-diagonal ``j x j`` sub-blocks of
-    every 32x32 bit matrix with three ufunc calls.  Output is exactly equal
-    to the reference for all inputs (the swap network is a permutation of
-    the same bits), which the property/differential suites assert.
-
-    Parameters
-    ----------
-    tiles:
-        ``uint32`` array with last axis of length 32.
-    out:
-        Optional destination (same shape/dtype); may **not** alias
-        ``tiles``.  When given, no output allocation happens.
-    scratch:
-        Optional :class:`repro.utils.pool.Scratch`; when given the
-        half-tile swap temporary is pooled, making the call allocation-free
-        in the steady state.
-    """
-    tiles = np.asarray(tiles)
-    if tiles.dtype != np.uint32:
-        raise ValueError("bit_transpose_32x32_fast requires uint32 input")
-    if tiles.shape[-1] != 32:
-        raise ValueError("last axis must have length 32")
-    if out is None:
-        out = np.empty_like(tiles)
-    np.copyto(out, tiles)
-    lead = out.shape[:-1]
-    for j, mask in zip(_SWAP_DISTANCES, _SWAP_MASKS):
-        pairs = out.reshape(lead + (32 // (2 * j), 2, j))
-        lo = pairs[..., 0, :]  # word rows whose j-bit is 0
-        hi = pairs[..., 1, :]  # word rows whose j-bit is 1
-        if scratch is not None:
-            t = scratch.take("bits.swap", lo.shape, np.uint32)
-        else:
-            t = np.empty(lo.shape, dtype=np.uint32)
-        # Swap bit (r, c+j) of the low rows with bit (r+j, c) of the high
-        # rows for every bit column c whose j-bit is 0:
-        #   t    = ((lo >> j) ^ hi) & mask
-        #   hi  ^= t            (hi bit c      := old lo bit c+j)
-        #   lo  ^= t << j       (lo bit c+j    := old hi bit c)
-        np.right_shift(lo, j, out=t)
-        np.bitwise_xor(t, hi, out=t)
-        np.bitwise_and(t, mask, out=t)
-        np.bitwise_xor(hi, t, out=hi)
-        np.left_shift(t, j, out=t)
-        np.bitwise_xor(lo, t, out=lo)
-    return out

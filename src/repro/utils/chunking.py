@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["pad_to_multiple", "block_view", "unblock_view", "chunk_shape_for"]
 
 #: Default chunk edge per dimensionality, mirroring cuSZ's launch geometry:
@@ -23,6 +25,9 @@ DEFAULT_CHUNKS: dict[int, tuple[int, ...]] = {
     3: (8, 8, 8),
 }
 
+#: Largest chunk edge: stream headers store each edge as a u16.
+MAX_CHUNK_EDGE = 0xFFFF
+
 
 def chunk_shape_for(ndim: int, chunk: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Return the chunk shape for ``ndim`` dimensions, validating overrides.
@@ -32,15 +37,19 @@ def chunk_shape_for(ndim: int, chunk: tuple[int, ...] | None = None) -> tuple[in
     ndim:
         Dimensionality of the data (1, 2 or 3).
     chunk:
-        Optional explicit chunk shape; must have ``ndim`` positive entries.
+        Optional explicit chunk shape: ``ndim`` edges in
+        ``[1, MAX_CHUNK_EDGE]``, else :class:`~repro.errors.ConfigError`.
     """
     if ndim not in DEFAULT_CHUNKS:
         raise ValueError(f"only 1-3 dimensional data is supported, got ndim={ndim}")
     if chunk is None:
         return DEFAULT_CHUNKS[ndim]
     chunk = tuple(int(c) for c in chunk)
-    if len(chunk) != ndim or any(c <= 0 for c in chunk):
-        raise ValueError(f"chunk shape {chunk} invalid for ndim={ndim}")
+    if len(chunk) != ndim or not all(1 <= c <= MAX_CHUNK_EDGE for c in chunk):
+        raise ConfigError(
+            f"chunk shape {chunk} invalid for ndim={ndim}: need {ndim} "
+            f"edge(s) in [1, {MAX_CHUNK_EDGE}]"
+        )
     return chunk
 
 

@@ -113,12 +113,6 @@ class Scratch:
             telemetry.counter("pool.scratch_growth_bytes", int(arena.nbytes))
         return arena[: n * dtype.itemsize].view(dtype).reshape(shape)
 
-    def zeros(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Like :meth:`take` but with the view zero-filled."""
-        out = self.take(key, shape, dtype)
-        out.fill(0)
-        return out
-
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arenas."""

@@ -7,8 +7,8 @@ registry-driven: registering a new backend automatically subjects it to
 the full sweep (shapes across 1-D/2-D/3-D including tails that are not
 multiples of the chunk or of the 2048-code bitshuffle tile, abs/rel
 modes, an error-bound sweep, constant and all-zero fields, plus the
-saturating and huge-quantum paths that exercise the fused backend's
-fallbacks).
+saturating, huge-quantum and oversized-chunk paths that exercise the
+fused backend's fallbacks to the ``reference`` kernels).
 
 A representative fast subset runs in tier-1; the exhaustive matrix is
 ``@pytest.mark.slow`` and runs in the ``backends`` CI job.
@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend, resolve_backend
+from repro.backends import available_backends, fused, get_backend, resolve_backend
+from repro.backends.reference import ReferenceBackend
 from repro.core.pipeline import FZGPU
 from repro.errors import ConfigError, DecompressionError
 
@@ -78,7 +79,7 @@ def assert_conformant(backend: str, data: np.ndarray, eb: float, mode: str):
 
 
 def test_registry_lists_required_backends():
-    assert {"reference", "pooled", "fused"} <= set(BACKENDS)
+    assert {"reference", "fused"} <= set(BACKENDS)
 
 
 def test_unknown_backend_rejected():
@@ -87,13 +88,14 @@ def test_unknown_backend_rejected():
 
 
 def test_resolve_auto_and_env(monkeypatch):
-    assert resolve_backend(None, pooled=False).name == "reference"
-    assert resolve_backend(None, pooled=True).name == "pooled"
-    assert resolve_backend("auto", pooled=True).name == "pooled"
-    monkeypatch.setenv("REPRO_BACKEND", "fused")
-    assert resolve_backend(None, pooled=True).name == "fused"
-    # explicit selection beats the environment
-    assert resolve_backend("reference", pooled=True).name == "reference"
+    assert resolve_backend(None).name == "fused"
+    assert resolve_backend("auto").name == "fused"
+    assert resolve_backend("reference").name == "reference"
+    instance = ReferenceBackend()
+    assert resolve_backend(instance) is instance
+    # the environment selects nothing: the default is always fused
+    monkeypatch.setenv("REPRO_BACKEND", "reference")
+    assert resolve_backend(None).name == "fused"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -121,16 +123,57 @@ def test_conformance_huge_quantum(backend):
         assert_conformant(backend, data, 1e-13, "abs")
 
 
+def _saturated_big_chunk() -> np.ndarray:
+    """One (300, 300) chunk of residuals far above 0x7FFF at eb=1e-3 abs.
+
+    0x7FFF * 300 * 300 >= 2**31, so the fused decoder cannot prove its int32
+    prefix sums exact and takes the int64 ``reference`` path.
+    """
+    rng = np.random.default_rng(300)
+    return (rng.standard_normal((300, 300)) * 1e6).astype(np.float32)
+
+
+CUSTOM_CHUNK_CASES = [
+    ((21,), (7,), None),
+    ((13, 9), (5, 3), None),
+    ((10, 12, 9), (3, 4, 3), None),
+    ((300, 300), (300, 300), "saturated"),
+]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_conformance_custom_chunks(backend):
-    for shape, chunk in [((21,), (7,)), ((13, 9), (5, 3)), ((10, 12, 9), (3, 4, 3))]:
-        data = make_field(shape, "rough")
+    for shape, chunk, kind in CUSTOM_CHUNK_CASES:
+        if kind == "saturated":
+            data, eb, mode = _saturated_big_chunk(), 1e-3, "abs"
+        else:
+            data, eb, mode = make_field(shape, "rough"), 1e-3, "rel"
         ref = FZGPU(chunk=chunk, backend="reference")
         other = FZGPU(chunk=chunk, backend=backend)
-        want = ref.compress(data, 1e-3)
-        got = other.compress(data, 1e-3)
+        want = ref.compress(data, eb, mode)
+        got = other.compress(data, eb, mode)
         assert got.stream == want.stream, (backend, shape, chunk)
         assert np.array_equal(other.decompress(want.stream), ref.decompress(want.stream))
+
+
+def test_fused_decode_falls_back_to_reference(monkeypatch):
+    """The oversized saturated chunk decodes through the int64 exact path."""
+    calls = []
+
+    class Spy(ReferenceBackend):
+        def decode(self, *args, **kwargs):
+            calls.append(args[1])
+            return super().decode(*args, **kwargs)
+
+    monkeypatch.setattr(fused, "_EXACT", Spy())
+    data = _saturated_big_chunk()
+    stream = FZGPU(chunk=(300, 300), backend="reference").compress(
+        data, 1e-3, "abs"
+    ).stream
+    want = FZGPU(chunk=(300, 300), backend="reference").decompress(stream)
+    got = FZGPU(chunk=(300, 300), backend="fused").decompress(stream)
+    assert calls == [(300, 300)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.bitshuffle import TILE_BYTES, TILE_WORDS, bitshuffle, bitunshuffle
+from repro.backends.fused import TileDecoder
 from repro.core.encoder import encode_zero_blocks
-from repro.core.hotpath import bitunshuffle_pooled
 from repro.errors import DecompressionError
 from repro.utils.pool import Scratch
 
@@ -43,18 +43,20 @@ class TestRoundtrip:
     def test_out_of_range_code_count_raises_repro_error(self, bad):
         """``n_codes`` comes from an untrusted header; out-of-range values
         (including negative, which would silently mis-slice) must raise the
-        library's error type, in the plain and the pooled decoder alike."""
+        library's error type, in the staged and the fused tile decoder alike."""
         words = bitshuffle(np.arange(100, dtype=np.uint16))
         with pytest.raises(DecompressionError):
             bitunshuffle(words, bad)
         with pytest.raises(DecompressionError):
-            bitunshuffle_pooled(words, bad, Scratch())
+            TileDecoder(encode_zero_blocks(words), bad, Scratch())
 
     def test_boundary_code_counts_accepted(self):
         words = bitshuffle(np.arange(100, dtype=np.uint16))
         assert bitunshuffle(words, 0).size == 0
         assert bitunshuffle(words, 2 * TILE_WORDS).size == 2 * TILE_WORDS
-        assert bitunshuffle_pooled(words, 0, Scratch()).size == 0
+        tiles = TileDecoder(encode_zero_blocks(words), 2 * TILE_WORDS, Scratch())
+        assert tiles.codes(0, 0).size == 0
+        assert tiles.codes(0, 2 * TILE_WORDS).size == 2 * TILE_WORDS
 
     @given(
         hnp.arrays(np.uint16, st.integers(1, 3000)),

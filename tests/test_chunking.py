@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.utils.chunking import (
     DEFAULT_CHUNKS,
     block_view,
@@ -28,12 +29,17 @@ class TestChunkShape:
             chunk_shape_for(4)
 
     def test_rejects_mismatched_override(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             chunk_shape_for(2, (4,))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             chunk_shape_for(1, (0,))
+
+    def test_rejects_edges_beyond_u16_header_field(self):
+        assert chunk_shape_for(1, (65535,)) == (65535,)
+        with pytest.raises(ConfigError):
+            chunk_shape_for(1, (65536,))
 
 
 class TestPadding:

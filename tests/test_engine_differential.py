@@ -1,11 +1,11 @@
 """Differential conformance: the batch engine vs the single-shot codec.
 
 The engine's contract is that parallelism and pooling change wall-clock,
-never bytes.  Every test here compares engine output against the plain
-``FZGPU()`` reference:
+never bytes.  Every test here compares engine output against the
+single-shot ``FZGPU(backend="reference")`` oracle:
 
 * ``compress_batch`` streams are **byte-identical** across the full
-  jobs x pool-kind x pooled matrix;
+  jobs x pool-kind matrix;
 * chunked containers decompress to the **bit-identical** array of the
   unchunked stream, for every rank and for pathologically small chunks;
 * containers survive concatenation, reject corruption, and read the same
@@ -60,7 +60,7 @@ def fields():
 
 @pytest.fixture(scope="module")
 def reference(fields):
-    fz = FZGPU()
+    fz = FZGPU(backend="reference")
     results = [fz.compress(x, EB, "rel") for x in fields]
     recons = [fz.decompress(r.stream) for r in results]
     return results, recons
@@ -73,10 +73,9 @@ def reference(fields):
 
 @pytest.mark.parametrize("jobs", JOBS_MATRIX)
 @pytest.mark.parametrize("pool", POOL_MATRIX)
-@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "unpooled"])
-def test_batch_matches_single_shot(fields, reference, jobs, pool, pooled):
+def test_batch_matches_single_shot(fields, reference, jobs, pool):
     results, recons = reference
-    with Engine(jobs=jobs, pool=pool, pooled=pooled) as engine:
+    with Engine(jobs=jobs, pool=pool) as engine:
         batch = engine.compress_batch(fields, EB, "rel")
         assert [r.stream for r in batch] == [r.stream for r in results]
         assert [r.eb_abs for r in batch] == [r.eb_abs for r in results]
@@ -101,7 +100,7 @@ def test_proc_worker_codec_cache(fields, reference):
     assert executor._proc_codec(None, "fused") is a
     b = executor._proc_codec((16, 16), "fused")
     assert b is not a
-    assert executor._proc_codec((16, 16), "pooled") is not b
+    assert executor._proc_codec((16, 16), "reference") is not b
     assert len(executor._PROC_CODECS) == 3
     executor._PROC_CODECS.clear()
 
@@ -271,7 +270,7 @@ def test_scratch_zero_allocation_steady_state(fields):
 
 def test_buffer_pool_reuses_scratches(fields):
     pool = BufferPool()
-    with Engine(jobs=1, pooled=True, buffer_pool=pool) as engine:
+    with Engine(jobs=1, buffer_pool=pool) as engine:
         engine.compress_batch(fields, EB, "rel")
         first_created = pool.n_created
         warm_allocs = pool.n_allocations
@@ -374,3 +373,21 @@ def test_engine_config_validation():
         Engine(jobs=0)
     with pytest.raises(ConfigError):
         Engine(pool="greenlet")
+
+
+@pytest.mark.parametrize("chunk", [(0,), (3, 4), (65536,)], ids=str)
+def test_invalid_chunk_shape_is_config_error(chunk):
+    """Bad chunk overrides fail typed and up front, before any encoding.
+
+    A zero edge, an edge count that does not match the (1-D) data and an
+    edge past the header's u16 field all raise ``ConfigError`` from the
+    codec, the batch engine and the chunked engine alike.
+    """
+    data = np.linspace(0.0, 1.0, 1000, dtype=np.float32)
+    with pytest.raises(ConfigError, match="chunk shape"):
+        FZGPU(chunk=chunk).compress(data, EB)
+    with Engine(chunk=chunk) as engine:
+        with pytest.raises(ConfigError, match="chunk shape"):
+            engine.compress_batch([data], EB)
+        with pytest.raises(ConfigError, match="chunk shape"):
+            engine.compress_chunked(data, EB)

@@ -1,7 +1,7 @@
-"""Crafted-stream hardening tests for the pooled/fused decode kernels.
+"""Crafted-stream hardening tests for the decode kernels.
 
-``decode_zero_blocks_pooled`` (and the fused decoder's mirrored ladder)
-must reject inconsistent block counts and flag-array lengths *up front*
+:func:`~repro.core.encoder.decode_zero_blocks` (and the fused decoder's
+mirrored ladder) must reject inconsistent block counts and flag-array lengths *up front*
 with :class:`~repro.errors.DecompressionError` — never by letting a
 downstream NumPy ``ValueError`` escape from a negative reshape or a
 mis-sized scatter.  The shared bit-plane tile codec of the fused backend
@@ -19,7 +19,6 @@ import pytest
 
 from repro.backends import get_backend
 from repro.backends.fused import TILE_CODES, TileDecoder, encode_tiles, join_tiles
-from repro.core import hotpath
 from repro.core.bitshuffle import bitshuffle, bitunshuffle
 from repro.core.encoder import EncodedBlocks, decode_zero_blocks, encode_zero_blocks
 from repro.errors import DecompressionError
@@ -35,7 +34,7 @@ def _valid_encoded(n_tiles: int = 2) -> EncodedBlocks:
 
 
 def _decode(encoded: EncodedBlocks) -> np.ndarray:
-    return hotpath.decode_zero_blocks_pooled(encoded, Scratch())
+    return decode_zero_blocks(encoded)
 
 
 class TestDecodeZeroBlocksHardening:
@@ -97,7 +96,7 @@ class TestDecodeZeroBlocksHardening:
             _decode(bad)
 
 
-@pytest.mark.parametrize("backend", ["reference", "pooled", "fused"])
+@pytest.mark.parametrize("backend", ["reference", "fused"])
 class TestBackendDecodeHardening:
     """Every backend's decode rejects the same crafted-count streams."""
 

@@ -470,7 +470,7 @@ class TestEngineIntegration:
             dict(jobs=2, pool="process"),
             dict(jobs=1, backend="reference"),
             dict(jobs=2, backend="fused"),
-            dict(jobs=2, backend="pooled"),
+            dict(jobs=2, pool="process", backend="reference"),
         ):
             with Engine(**kw) as engine:
                 blob = engine.compress_chunked(

@@ -220,7 +220,7 @@ def test_engine_merges_worker_telemetry(pool):
             np.cumsum(rng.standard_normal((40, 30)), axis=0).astype(np.float32)
             for _ in range(3)
         ]
-        with Engine(jobs=2, pool=pool, pooled=True) as engine:
+        with Engine(jobs=2, pool=pool) as engine:
             results = engine.compress_batch(fields, 1e-3, "rel")
             engine.decompress_batch([r.stream for r in results])
         snap = rec.snapshot()
@@ -275,7 +275,7 @@ def test_process_pool_does_not_duplicate_prefork_telemetry():
             np.cumsum(rng.standard_normal((32, 24)), axis=0).astype(np.float32)
             for _ in range(3)
         ]
-        with Engine(jobs=2, pool="process", pooled=True) as engine:
+        with Engine(jobs=2, pool="process") as engine:
             engine.compress_batch(fields, 1e-3, "rel")
         snap = rec.snapshot()
     finally:
@@ -450,13 +450,13 @@ def test_cli_trace_metrics_and_stats(tmp_path, capsys):
     assert telemetry.get_recorder().snapshot()["events"] == []
     doc = json.loads(trace.read_text())
     names = {ev["name"] for ev in doc["traceEvents"] if ev.get("ph") == "X"}
-    assert {"fz.compress", "stage.quantize", "stage.bitshuffle"} <= names
+    assert {"fz.compress", "stage.fused_encode"} <= names
     assert "repro_fz_compress_calls 1" in prom.read_text().splitlines()
 
     capsys.readouterr()
     assert main(["stats", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "stage.quantize" in out and "time_pct" in out
+    assert "stage.fused_encode" in out and "time_pct" in out
     # stats on a trace with no spans fails loudly
     empty = tmp_path / "empty.json"
     empty.write_text('{"traceEvents": []}')
@@ -465,7 +465,7 @@ def test_cli_trace_metrics_and_stats(tmp_path, capsys):
     assert json.loads(trace.read_text()) == doc, "stats overwrote the trace"
 
 
-def test_cli_jsonl_trace(tmp_path):
+def test_cli_jsonl_trace(tmp_path, capsys):
     from repro.cli import main
 
     src = tmp_path / "f.npy"
@@ -477,8 +477,9 @@ def test_cli_jsonl_trace(tmp_path):
                  "--trace", str(trace)]) == 0
     lines = [json.loads(l) for l in trace.read_text().splitlines()]
     names = {rec["name"] for rec in lines if rec.get("type") == "span"}
-    assert {"fz.decompress", "stage.decode", "stage.dequantize"} <= names
+    assert {"fz.decompress", "stage.fused_decode"} <= names
     assert main(["stats", str(trace)]) == 0
+    assert "stage.fused_decode" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
