@@ -2,9 +2,9 @@
 
 Compresses a 64-field batch two ways — single-shot calls of the
 ``reference`` codec (the oracle) and the engine with its default codec and
-warm scratch arenas — and asserts the acceptance floor from the engine
-design: the engine must be at least 1.5x single-shot wall-clock on the
-same batch.  Also records the
+warm scratch arenas — and gates, under the shared gate (``gate.py``), the
+acceptance floor from the engine design: the engine must be at least 1.5x
+single-shot wall-clock on the same batch.  Also records the
 conformance experiment's byte-identity checks, so the speedup can never
 come at the cost of changed output bytes.
 
@@ -16,8 +16,8 @@ check CI uses to prove trace capture works on a real engine workload.
 from __future__ import annotations
 
 import os
-import time
 
+import gate
 import numpy as np
 import pytest
 from conftest import checks_block, run_once
@@ -30,6 +30,9 @@ from repro.harness import render_table, run_experiment
 N_FIELDS = 64
 SHAPE = (256, 256)
 EB = 1e-3
+#: Acceptance floor: the engine batch at least this much faster than
+#: single-shot reference calls.
+SPEEDUP_FLOOR = 1.5
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -58,41 +61,23 @@ def _make_batch() -> list[np.ndarray]:
     return [np.roll(base, k, axis=0) for k in range(N_FIELDS)]
 
 
-def _time(fn) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
-def test_engine_batch_speedup(benchmark, record_result):
+def test_engine_batch_speedup():
     fields = _make_batch()
     fz = FZGPU(backend="reference")
-
-    def run() -> dict:
-        t_single, singles = _time(lambda: [fz.compress(x, EB, "rel") for x in fields])
-        with Engine(jobs=1) as engine:
-            engine.compress_batch(fields[:1], EB, "rel")  # warm the arenas
-            t_engine, batched = _time(lambda: engine.compress_batch(fields, EB, "rel"))
-        assert all(a.stream == b.stream for a, b in zip(singles, batched))
-        nbytes = sum(x.nbytes for x in fields)
-        return {
-            "single_s": t_single,
-            "engine_s": t_engine,
-            "single_MBps": nbytes / t_single / 1e6,
-            "engine_MBps": nbytes / t_engine / 1e6,
-            "speedup": t_single / t_engine,
-        }
-
-    stats = run_once(benchmark, run)
-    rows = [{"config": k, "value": v} for k, v in stats.items()]
-    table = render_table(
-        rows,
-        columns=["config", "value"],
-        title=f"Engine batch: {N_FIELDS} fields of {SHAPE} at eb={EB:g} rel",
-    )
-    record_result("engine_batch", table)
-    # acceptance floor: the engine at least 1.5x single-shot
-    assert stats["speedup"] >= 1.5, stats
+    with Engine(jobs=1) as engine:
+        # the untimed first pass also warms the engine's arenas
+        singles = [fz.compress(x, EB, "rel").stream for x in fields]
+        batched = [r.stream for r in engine.compress_batch(fields, EB, "rel")]
+        times = gate.interleave({
+            "single": lambda: [fz.compress(x, EB, "rel") for x in fields],
+            "engine": lambda: engine.compress_batch(fields, EB, "rel"),
+        })
+    claims = [gate.Claim("speedup", **gate.ratio(times, "single", "engine"),
+                         floor=SPEEDUP_FLOOR)]
+    gate.enforce("engine_batch", claims, {"byte_identical": singles == batched}, {
+        "fields": N_FIELDS, "shape": list(SHAPE), "eb": EB,
+        "ms": gate.best_ms(times),
+    })
 
 
 def test_engine_conformance(benchmark, record_result):

@@ -12,40 +12,27 @@ Three synthetic field kinds exercise the three segment plans:
   fast path with probe overhead inside 1.3x of a forced-``fast`` encode.
 
 Every plan's reconstruction is checked against the error bound before any
-timing is trusted.  Results land in ``benchmarks/results/BENCH_planner.json``;
-the committed copy at ``benchmarks/BENCH_planner.json`` is the regression
-baseline — a fresh run failing ``GATE_MARGIN`` of a committed figure fails
-the gate.  Regenerate after an intentional change:
+figure is trusted.  The figures are claims under the shared gate
+(``gate.py``); the ratios are deterministic, so they must match the
+committed baseline exactly.  Regenerate after an intentional change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_planner.py -q
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
-
+import gate
 import numpy as np
-from conftest import RESULTS_DIR, run_once
 
-from repro.harness import render_table
 from repro.planner import compress_with_plan, decompress_any
 
 EB = 1e-3
 MODE = "abs"
-REPEATS = 3
 
 #: Acceptance floors from the planner issue.
 INTERP_RATIO_FLOOR = 2.0  # interp ratio vs fused ratio on quad1d
 CONST_RATIO_FLOOR = 50.0  # constant-chunk compression ratio
 AUTO_OVERHEAD_CEIL = 1.3  # auto wall time vs forced-fast on rough data
-#: A fresh run may fall to this fraction of a committed baseline figure
-#: (or exceed 1/GATE_MARGIN of a committed overhead) before the gate fails.
-GATE_MARGIN = 0.6
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_planner.json"
 
 
 def _fields() -> dict[str, np.ndarray]:
@@ -71,15 +58,6 @@ def _fields() -> dict[str, np.ndarray]:
     }
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _in_bound(data: np.ndarray, stream: bytes) -> bool:
     recon = decompress_any(stream)
     err = np.abs(recon.astype(np.float64) - data.astype(np.float64)).max()
@@ -88,137 +66,46 @@ def _in_bound(data: np.ndarray, stream: bytes) -> bool:
     return float(err) <= EB * (1.0 + 1e-5) + ulp
 
 
-def _measure() -> dict:
+def _measure():
     fields = _fields()
-    out: dict = {
-        "eb": EB,
-        "mode": MODE,
-        "repeats": REPEATS,
-        "fields": {},
-    }
+    claims, checks, data = [], {}, {}
     for name in ("quad1d", "cross2d"):
-        data = fields[name]
-        fast = compress_with_plan(data, EB, MODE, plan="fast")
-        interp = compress_with_plan(data, EB, MODE, plan="interp")
-        out["fields"][name] = {
-            "shape": list(data.shape),
-            "plan": interp.plan,
-            "fast_ratio": fast.original_bytes / fast.compressed_bytes,
-            "interp_ratio": interp.original_bytes / interp.compressed_bytes,
-            "interp_vs_fast": fast.compressed_bytes / interp.compressed_bytes,
-            "in_bound": _in_bound(data, fast.stream)
-            and _in_bound(data, interp.stream),
-        }
+        x = fields[name]
+        fast = compress_with_plan(x, EB, MODE, plan="fast")
+        interp = compress_with_plan(x, EB, MODE, plan="interp")
+        checks[f"{name}.in_bound"] = (
+            _in_bound(x, fast.stream) and _in_bound(x, interp.stream)
+        )
+        claims.append(gate.Claim(
+            "interp_vs_fast", fast.compressed_bytes / interp.compressed_bytes,
+            floor=INTERP_RATIO_FLOOR if name == "quad1d" else None, field=name,
+        ))
+        data[name] = {"shape": list(x.shape), "plan": interp.plan,
+                      "fast_ratio": fast.ratio, "interp_ratio": interp.ratio}
 
     const = fields["const1d"]
     auto_const = compress_with_plan(const, EB, MODE, plan="auto")
-    out["fields"]["const1d"] = {
-        "shape": list(const.shape),
-        "plan": auto_const.plan,
-        "const_ratio": auto_const.original_bytes / auto_const.compressed_bytes,
-        "in_bound": _in_bound(const, auto_const.stream),
-    }
+    checks["const1d.in_bound"] = _in_bound(const, auto_const.stream)
+    checks["const1d.routes_constant"] = auto_const.plan == "constant"
+    claims.append(gate.Claim("const_ratio", auto_const.ratio,
+                             floor=CONST_RATIO_FLOOR, field="const1d"))
 
     rough = fields["rough1d"]
     auto_rough = compress_with_plan(rough, EB, MODE, plan="auto")
     fast_rough = compress_with_plan(rough, EB, MODE, plan="fast")
-    fast_s = _best_of(
-        lambda: compress_with_plan(rough, EB, MODE, plan="fast")
-    )
-    auto_s = _best_of(
-        lambda: compress_with_plan(rough, EB, MODE, plan="auto")
-    )
-    out["fields"]["rough1d"] = {
-        "shape": list(rough.shape),
-        "plan": auto_rough.plan,
-        "fast_ms": fast_s * 1e3,
-        "auto_ms": auto_s * 1e3,
-        "auto_overhead": auto_s / fast_s,
-        "payload_identical": auto_rough.stream == fast_rough.stream,
-        "in_bound": _in_bound(rough, auto_rough.stream),
-    }
-    return out
+    checks["rough1d.in_bound"] = _in_bound(rough, auto_rough.stream)
+    checks["rough1d.routes_fast"] = auto_rough.plan == "fast"
+    # auto on rough data must emit the forced-fast stream byte-identically
+    checks["rough1d.payload_identical"] = auto_rough.stream == fast_rough.stream
+    times = gate.interleave({
+        "fast": lambda: compress_with_plan(rough, EB, MODE, plan="fast"),
+        "auto": lambda: compress_with_plan(rough, EB, MODE, plan="auto"),
+    })
+    claims.append(gate.Claim("auto_overhead", **gate.ratio(times, "auto", "fast"),
+                             ceiling=AUTO_OVERHEAD_CEIL, field="rough1d"))
+    data["rough1d"] = {"shape": list(rough.shape), "ms": gate.best_ms(times)}
+    return claims, checks, {"eb": EB, "mode": MODE, "fields": data}
 
 
-def test_planner_shootout(benchmark, record_result):
-    results = run_once(benchmark, _measure)
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_planner.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
-    if os.environ.get("REPRO_UPDATE_BENCH"):
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-    f = results["fields"]
-    rows = [
-        {
-            "field": name,
-            "shape": "x".join(str(d) for d in f[name]["shape"]),
-            "plan": f[name]["plan"],
-            "figure": fig,
-            "in_bound": f[name]["in_bound"],
-        }
-        for name, fig in (
-            ("quad1d", f"interp {f['quad1d']['interp_vs_fast']:.2f}x fused"),
-            ("cross2d", f"interp {f['cross2d']['interp_vs_fast']:.2f}x fused"),
-            ("const1d", f"ratio {f['const1d']['const_ratio']:.0f}x"),
-            ("rough1d", f"auto {f['rough1d']['auto_overhead']:.2f}x fast"),
-        )
-    ]
-    record_result(
-        "bench_planner",
-        render_table(rows, title=f"Planner shootout at eb={EB:g} {MODE}"),
-    )
-
-    for name, field in f.items():
-        assert field["in_bound"], f"{name}: reconstruction out of bound"
-    assert f["const1d"]["plan"] == "constant"
-    assert f["rough1d"]["plan"] == "fast"
-    assert f["rough1d"]["payload_identical"], (
-        "auto on rough data must emit the forced-fast stream byte-identically"
-    )
-
-    failures = []
-    if f["quad1d"]["interp_vs_fast"] < INTERP_RATIO_FLOOR:
-        failures.append(
-            f"quad1d: interp ratio {f['quad1d']['interp_vs_fast']:.2f}x fused "
-            f"< floor {INTERP_RATIO_FLOOR}x"
-        )
-    if f["const1d"]["const_ratio"] < CONST_RATIO_FLOOR:
-        failures.append(
-            f"const1d: constant ratio {f['const1d']['const_ratio']:.0f}x "
-            f"< floor {CONST_RATIO_FLOOR}x"
-        )
-    if f["rough1d"]["auto_overhead"] > AUTO_OVERHEAD_CEIL:
-        failures.append(
-            f"rough1d: auto probe overhead {f['rough1d']['auto_overhead']:.2f}x"
-            f" fast > ceiling {AUTO_OVERHEAD_CEIL}x"
-        )
-
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    if baseline is not None:
-        b = baseline["fields"]
-        for name in ("quad1d", "cross2d"):
-            got, committed = f[name]["interp_vs_fast"], b[name]["interp_vs_fast"]
-            if got < GATE_MARGIN * committed:
-                failures.append(
-                    f"{name}: interp {got:.2f}x fused regressed below "
-                    f"{GATE_MARGIN:.0%} of committed {committed:.2f}x"
-                )
-        got, committed = f["const1d"]["const_ratio"], b["const1d"]["const_ratio"]
-        if got < GATE_MARGIN * committed:
-            failures.append(
-                f"const1d: ratio {got:.0f}x regressed below "
-                f"{GATE_MARGIN:.0%} of committed {committed:.0f}x"
-            )
-        got = f["rough1d"]["auto_overhead"]
-        committed = b["rough1d"]["auto_overhead"]
-        if got > committed / GATE_MARGIN:
-            failures.append(
-                f"rough1d: auto overhead {got:.2f}x grew past "
-                f"1/{GATE_MARGIN:.0%} of committed {committed:.2f}x"
-            )
-    assert not failures, "; ".join(failures)
+def test_planner_shootout():
+    gate.enforce("planner", *_measure())

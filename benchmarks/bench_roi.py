@@ -10,34 +10,21 @@ smooth random-walk structure along the leading axis) two ways:
 * ``decompress_roi`` of a 1/64th slab (4 of 256 leading rows),
 
 verifies the ROI bytes equal the numpy slice of the full reconstruction,
-and records both timings to ``benchmarks/results/BENCH_roi.json``.
-
-The committed copy at ``benchmarks/BENCH_roi.json`` is the ROI perf
-baseline.  Two gates:
-
-* **acceptance floor** — the 1/64th slab must decode at least
-  ``SPEEDUP_FLOOR`` (4x) faster than the full decode; anything less means
-  the index is not actually pruning work;
-* **regression** — a fresh run may not drop below ``GATE_MARGIN`` of the
-  committed ``roi_speedup`` ratio.
-
-Regenerate the baseline after an intentional perf change:
+and times both interleaved under the shared gate (``gate.py``).  The
+acceptance floor: the 1/64th slab must decode at least ``SPEEDUP_FLOOR``
+(4x) faster than the full decode; anything less means the index is not
+actually pruning work.  Regenerate the baseline after an intentional
+perf change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_roi.py -q
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
-
+import gate
 import numpy as np
-from conftest import RESULTS_DIR, run_once
 
 from repro.engine import Engine
-from repro.harness import render_table
 
 SHAPE = (256, 64, 64)  # 4 MiB float32 cube
 EB = 1e-3
@@ -45,16 +32,10 @@ EB = 1e-3
 CHUNK_BYTES = 8 * SHAPE[1] * SHAPE[2] * 4
 #: The 1/64th slab: 4 of 256 leading rows, full trailing extent.
 ROI = "128:132"
-REPEATS = 5
 
 #: Acceptance floor: the 1/64th slab decodes at least this much faster
 #: than the full container (index pruning must actually prune).
 SPEEDUP_FLOOR = 4.0
-#: A fresh run may fall to this fraction of the committed baseline ratio
-#: before the gate fails (absorbs machine-to-machine and CI-load noise).
-GATE_MARGIN = 0.6
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_roi.json"
 
 
 def _make_field() -> np.ndarray:
@@ -63,72 +44,28 @@ def _make_field() -> np.ndarray:
     return np.cumsum(walk, axis=0).astype(np.float32)
 
 
-def _best(fn) -> float:
-    best = float("inf")
-    fn()  # warm caches / pools
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _measure() -> dict:
+def _measure():
     data = _make_field()
     with Engine(jobs=2, pool="thread") as engine:
         blob = engine.compress_chunked(data, EB, chunk_bytes=CHUNK_BYTES)
         full = engine.decompress_chunked(blob)
         roi = engine.decompress_roi(blob, ROI)
         identical = roi.tobytes() == np.ascontiguousarray(full[128:132]).tobytes()
-        full_s = _best(lambda: engine.decompress_chunked(blob))
-        roi_s = _best(lambda: engine.decompress_roi(blob, ROI))
-    return {
+        times = gate.interleave({
+            "full": lambda: engine.decompress_chunked(blob),
+            "roi": lambda: engine.decompress_roi(blob, ROI),
+        })
+    claims = [gate.Claim("roi_speedup", **gate.ratio(times, "full", "roi"),
+                         floor=SPEEDUP_FLOOR)]
+    return claims, {"byte_identical": identical}, {
         "shape": list(SHAPE),
         "eb": EB,
-        "chunk_bytes": CHUNK_BYTES,
-        "segments": SHAPE[0] * SHAPE[1] * SHAPE[2] * 4 // CHUNK_BYTES,
+        "segments": data.nbytes // CHUNK_BYTES,
         "roi": ROI,
-        "roi_fraction": 4 / SHAPE[0],
         "container_mb": len(blob) / 1e6,
-        "full_decode_s": full_s,
-        "roi_decode_s": roi_s,
-        "roi_speedup": full_s / roi_s,
-        "byte_identical": identical,
+        "ms": gate.best_ms(times),
     }
 
 
-def test_roi_decode_gate(benchmark, record_result):
-    results = run_once(benchmark, _measure)
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_roi.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
-    if os.environ.get("REPRO_UPDATE_BENCH"):
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-    rows = [{"metric": k, "value": v} for k, v in results.items()]
-    record_result(
-        "bench_roi",
-        render_table(
-            rows,
-            columns=["metric", "value"],
-            title=(
-                f"ROI decode: {ROI} (1/64th) of a {SHAPE} cube vs full "
-                f"container decode"
-            ),
-        ),
-    )
-
-    assert results["byte_identical"], "ROI bytes diverged from the full slice"
-    speedup = results["roi_speedup"]
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"1/64th-slab ROI decode only {speedup:.1f}x faster than full — "
-        f"below the {SPEEDUP_FLOOR}x acceptance floor ({results})"
-    )
-    if BASELINE_PATH.exists():
-        committed = json.loads(BASELINE_PATH.read_text())["roi_speedup"]
-        assert speedup >= GATE_MARGIN * committed, (
-            f"ROI speedup {speedup:.1f}x regressed below "
-            f"{GATE_MARGIN:.0%} of committed {committed:.1f}x"
-        )
+def test_roi_decode_gate():
+    gate.enforce("roi", *_measure())

@@ -3,19 +3,17 @@
 Compresses the same 8-field workload two ways — directly through an
 ``Engine`` (the in-process ceiling) and through ``repro.serve`` with 8
 concurrent streaming HTTP clients hammering a live socket — checks the
-containers are byte-identical either way, and records the throughput
-ratio to ``benchmarks/results/BENCH_serve.json``.
+containers are byte-identical either way, and times both interleaved under
+the shared gate (``gate.py``).
 
 The clients run in their own *processes* (as real clients would), so the
 measurement is the server path — parsing, dispatch, engine, chunked
 streaming — not the GIL cost of simulating clients inside the server
 process.
 
-The committed copy at ``benchmarks/BENCH_serve.json`` is the serving-path
-perf baseline: the gate fails if the HTTP path drops below ``1/1.3`` of
-direct throughput (the acceptance ceiling on serving overhead) or
-regresses below ``GATE_MARGIN`` of the committed ratio.  Regenerate the
-baseline with ``REPRO_UPDATE_BENCH=1`` after an intentional perf change:
+The acceptance floor: the HTTP path keeps at least ``1/1.3`` of direct
+throughput (the ceiling on serving overhead), and the run sheds nothing.
+Regenerate the baseline after an intentional perf change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_serve.py -q
 """
@@ -24,27 +22,21 @@ from __future__ import annotations
 
 import hashlib
 import http.client
-import json
 import multiprocessing
-import os
-import pathlib
-import time
 
+import gate
 import numpy as np
-from conftest import RESULTS_DIR, run_once
 
 from repro.engine import Engine
-from repro.harness import render_table
 from repro.serve import ServeConfig
 
 from tests.serve_support import live_server
 
 N_CLIENTS = 8
-ROUNDS = 2          # requests per client per timed run
+PASSES = 2          # requests per client per timed round
 SHAPE = (512, 512)  # 1 MiB per field: real work, so framing cost is marginal
 EB = 1e-3
 JOBS = 2
-REPEATS = 4
 #: Small enough that every response streams several container segments —
 #: the serving path under test is the *streaming* one, not one-shot bodies.
 CHUNK_BYTES = 128 << 10
@@ -52,11 +44,6 @@ CHUNK_BYTES = 128 << 10
 #: Acceptance ceiling: the HTTP path may cost at most 1.3x direct wall-clock,
 #: i.e. its throughput must stay above 1/1.3 of the direct Engine batch.
 OVERHEAD_CEILING = 1.3
-#: A fresh run may fall to this fraction of the committed baseline ratio
-#: before the gate fails (absorbs machine-to-machine and CI-load noise).
-GATE_MARGIN = 0.6
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_serve.json"
 
 
 def _make_fields() -> list[np.ndarray]:
@@ -66,11 +53,11 @@ def _make_fields() -> list[np.ndarray]:
 
 
 def _client_proc(i, address, body, barrier, results) -> None:
-    """One client process: keep-alive connection, ROUNDS requests per rep.
+    """One client process: keep-alive connection, PASSES requests a round.
 
-    The barrier choreography pairs with :func:`_http_throughput`: one wait
-    to line up at the start of each timed rep, one to mark its end, so the
-    parent's clock brackets exactly the request traffic.
+    Each round is bracketed by two barrier waits that pair with the
+    parent's ``http`` side in :func:`_measure`, so the parent's clock covers
+    exactly the request traffic.
     """
     shape = ",".join(str(n) for n in SHAPE)
     conn = http.client.HTTPConnection(address[0], address[1], timeout=120)
@@ -79,8 +66,6 @@ def _client_proc(i, address, body, barrier, results) -> None:
         f"&chunk_bytes={CHUNK_BYTES}"
     )
     try:
-        blob = b""
-
         def once() -> bytes:
             conn.request(
                 "POST", target, body, headers={"X-Repro-Client": f"bench-{i}"}
@@ -90,10 +75,10 @@ def _client_proc(i, address, body, barrier, results) -> None:
             assert resp.status == 200, resp.status
             return out
 
-        once()  # warm the connection and the server arenas
-        for _ in range(REPEATS):
+        blob = once()  # warm the connection and the server arenas
+        for _ in range(gate.ROUNDS):
             barrier.wait(timeout=120)
-            for _ in range(ROUNDS):
+            for _ in range(PASSES):
                 blob = once()
             barrier.wait(timeout=120)
         results.put((i, hashlib.sha256(blob).hexdigest()))
@@ -101,130 +86,77 @@ def _client_proc(i, address, body, barrier, results) -> None:
         conn.close()
 
 
-def _http_throughput(address, fields) -> tuple[float, dict[int, str]]:
-    """Best-of-REPEATS wall time for N_CLIENTS × ROUNDS concurrent requests."""
+def _measure():
+    fields = _make_fields()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
-    barrier = ctx.Barrier(len(fields) + 1)
+    barrier = ctx.Barrier(N_CLIENTS + 1)
     results = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_client_proc,
-            args=(i, address, fields[i].tobytes(), barrier, results),
-        )
-        for i in range(len(fields))
-    ]
-    for p in procs:
-        p.start()
-    try:
-        best = float("inf")
-        for _ in range(REPEATS):
-            # a timed-out barrier (e.g. a crashed client) breaks for every
-            # waiter, so the run fails fast instead of hanging
-            barrier.wait(timeout=120)  # clients lined up, requests start now
-            t0 = time.perf_counter()
-            barrier.wait(timeout=120)  # every client finished its rounds
-            best = min(best, time.perf_counter() - t0)
-        digests = dict(results.get(timeout=60) for _ in fields)
-    finally:
-        for p in procs:
-            p.join(timeout=30)
-            if p.is_alive():
-                p.terminate()
-    return best, digests
-
-
-def _measure() -> dict:
-    fields = _make_fields()
-    nbytes = sum(x.nbytes for x in fields)
-    with Engine(jobs=JOBS, pool="thread") as engine:
-        direct = [
-            engine.compress_chunked(x, EB, "rel", chunk_bytes=CHUNK_BYTES)
-            for x in fields
-        ]
-        t_direct = float("inf")
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            direct = [
-                engine.compress_chunked(x, EB, "rel", chunk_bytes=CHUNK_BYTES)
-                for x in fields
-            ]
-            t_direct = min(t_direct, time.perf_counter() - t0)
     # Throughput-tuned serving config: flush streamed segments in large
     # chunks so the chunked framing cost is marginal against compression,
     # and lift the queue-depth high-water well above the peak backlog
     # (N_CLIENTS requests x 8 chunks each) — this benchmark measures the
     # serving path at full admission, not the shedding behaviour.
     cfg = ServeConfig(stream_flush_bytes=8 << 20, queue_high_water=1024)
-    with live_server(jobs=JOBS, pool="thread", config=cfg) as (srv, app, _eng):
-        t_http, digests = _http_throughput(srv.address, fields)
+    with Engine(jobs=JOBS, pool="thread") as engine, live_server(
+        jobs=JOBS, pool="thread", config=cfg
+    ) as (srv, app, _eng):
+
+        def direct() -> list[bytes]:
+            return [
+                engine.compress_chunked(x, EB, "rel", chunk_bytes=CHUNK_BYTES)
+                for x in fields
+            ]
+
+        def http() -> None:
+            # a timed-out barrier (e.g. a crashed client) breaks for every
+            # waiter, so the run fails fast instead of hanging
+            barrier.wait(timeout=120)  # clients lined up, requests start now
+            barrier.wait(timeout=120)  # every client finished its passes
+
+        expected = [hashlib.sha256(blob).hexdigest() for blob in direct()]
+        procs = [
+            ctx.Process(
+                target=_client_proc,
+                args=(i, srv.address, fields[i].tobytes(), barrier, results),
+            )
+            for i in range(N_CLIENTS)
+        ]
+        for p in procs:
+            p.start()
+        try:
+            times = gate.interleave({"direct": direct, "http": http})
+            digests = dict(results.get(timeout=60) for _ in procs)
+        finally:
+            for p in procs:
+                p.join(timeout=30)
+                if p.is_alive():
+                    p.terminate()
         shed = sum(
             v for name, _labels, v in app.recorder.metrics.snapshot()["counters"]
             if name == "serve.shed"
         )
-    identical = all(
-        digests[i] == hashlib.sha256(direct[i]).hexdigest()
-        for i in range(len(fields))
-    )
-    # each timed HTTP rep moves ROUNDS x the direct payload through the server
-    direct_mbps = nbytes / t_direct / 1e6
-    http_mbps = nbytes * ROUNDS / t_http / 1e6
-    return {
+    # each timed HTTP round moves PASSES x the direct payload through the server
+    times["http"] = [t / PASSES for t in times["http"]]
+    claims = [gate.Claim("http_vs_direct", **gate.ratio(times, "direct", "http"),
+                         floor=1.0 / OVERHEAD_CEILING)]
+    checks = {
+        "byte_identical": all(digests[i] == expected[i] for i in range(N_CLIENTS)),
+        # a shed means the high-water above is too low for this load
+        "no_shed": shed == 0,
+    }
+    return claims, checks, {
         "clients": N_CLIENTS,
-        "rounds": ROUNDS,
+        "passes": PASSES,
         "shape": list(SHAPE),
-        "mb_total": nbytes / 1e6,
         "eb": EB,
         "chunk_bytes": CHUNK_BYTES,
         "jobs": JOBS,
-        "direct_s": t_direct,
-        "http_s": t_http,
-        "direct_MBps": direct_mbps,
-        "http_MBps": http_mbps,
-        "http_vs_direct": http_mbps / direct_mbps,
-        "overhead_x": (t_http / ROUNDS) / t_direct,
+        "ms": gate.best_ms(times),
         "shed_429": shed,
-        "byte_identical": identical,
     }
 
 
-def test_serve_overhead_gate(benchmark, record_result):
-    results = run_once(benchmark, _measure)
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_serve.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
-    if os.environ.get("REPRO_UPDATE_BENCH"):
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-    rows = [{"metric": k, "value": v} for k, v in results.items()]
-    record_result(
-        "bench_serve",
-        render_table(
-            rows,
-            columns=["metric", "value"],
-            title=(
-                f"Serving path: {N_CLIENTS} concurrent HTTP clients vs "
-                f"direct Engine (jobs={JOBS})"
-            ),
-        ),
-    )
-
-    assert results["byte_identical"], "served containers diverged from direct"
-    assert results["shed_429"] == 0, (
-        "the throughput run shed load — raise the benchmark's high-water"
-    )
-    ratio = results["http_vs_direct"]
-    # acceptance ceiling: serving overhead stays within 1.3x of direct
-    assert ratio >= 1.0 / OVERHEAD_CEILING, (
-        f"HTTP path at {ratio:.2f}x direct throughput — serving overhead "
-        f"exceeds the {OVERHEAD_CEILING}x ceiling ({results})"
-    )
-    if BASELINE_PATH.exists():
-        committed = json.loads(BASELINE_PATH.read_text())["http_vs_direct"]
-        assert ratio >= GATE_MARGIN * committed, (
-            f"HTTP/direct ratio {ratio:.2f} regressed below "
-            f"{GATE_MARGIN:.0%} of committed {committed:.2f}"
-        )
+def test_serve_overhead_gate():
+    gate.enforce("serve", *_measure())

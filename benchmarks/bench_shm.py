@@ -11,51 +11,40 @@ large-field batch three ways:
 * process pool with ``transport="pickle"`` (the old data plane),
 * process pool with ``transport="shm"`` (the new one),
 
-checks all three produce byte-identical streams, and records throughputs to
-``benchmarks/results/BENCH_shm.json``.
-
-The committed copy at ``benchmarks/BENCH_shm.json`` is the transport perf
-baseline.  Two gates:
-
-* **acceptance floor** — shm process-pool throughput must stay above
-  ``1/1.2`` of the thread pool's on the same batch (the data plane is no
-  longer allowed to be the bottleneck);
-* **regression** — a fresh run may not drop below ``GATE_MARGIN`` of the
-  committed ``shm_vs_thread`` ratio.
-
-Regenerate the baseline after an intentional perf change:
+checks all three produce byte-identical streams and times them interleaved
+under the shared gate (``gate.py``).  The acceptance floor: shm
+process-pool throughput stays above ``1/1.2`` of the thread pool's on the
+same batch (the data plane is no longer allowed to be the bottleneck).
+``shm_vs_pickle`` is recorded with its spread but not gated.  Regenerate
+the baseline after an intentional perf change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_shm.py -q
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
+import contextlib
 
+import gate
 import numpy as np
-from conftest import RESULTS_DIR, run_once
+import pytest
 
 from repro.engine import Engine
-from repro.harness import render_table
 from repro.utils.pool import shm_available
 
 N_FIELDS = 6
 SHAPE = (1024, 1024)  # 4 MiB per field: descriptor savings dominate framing
 EB = 1e-3
 JOBS = 2
-REPEATS = 4
+POOLS = {
+    "thread": dict(pool="thread"),
+    "pickle": dict(pool="process", transport="pickle"),
+    "shm": dict(pool="process", transport="shm"),
+}
 
 #: Acceptance floor: the shm process pool keeps at least 1/1.2 of the
 #: thread pool's batch throughput on large fields.
 OVERHEAD_CEILING = 1.2
-#: A fresh run may fall to this fraction of the committed baseline ratio
-#: before the gate fails (absorbs machine-to-machine and CI-load noise).
-GATE_MARGIN = 0.6
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_shm.json"
 
 
 def _make_fields() -> list[np.ndarray]:
@@ -64,88 +53,34 @@ def _make_fields() -> list[np.ndarray]:
     return [np.roll(base, 11 * k, axis=0) for k in range(N_FIELDS)]
 
 
-def _best_batch_time(engine: Engine, fields) -> tuple[float, list[bytes]]:
-    streams: list[bytes] = []
-    best = float("inf")
-    engine.compress_batch(fields[:2], EB, "rel")  # warm pool + arenas
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        results = engine.compress_batch(fields, EB, "rel")
-        best = min(best, time.perf_counter() - t0)
-        streams = [r.stream for r in results]
-    return best, streams
-
-
-def _measure() -> dict:
+def _measure():
     fields = _make_fields()
-    nbytes = sum(x.nbytes for x in fields)
-    timings: dict[str, float] = {}
-    streams: dict[str, list[bytes]] = {}
-    for key, kw in [
-        ("thread", dict(pool="thread")),
-        ("proc_pickle", dict(pool="process", transport="pickle")),
-        ("proc_shm", dict(pool="process", transport="shm")),
-    ]:
-        with Engine(jobs=JOBS, **kw) as engine:
-            timings[key], streams[key] = _best_batch_time(engine, fields)
-    identical = (
-        streams["thread"] == streams["proc_pickle"] == streams["proc_shm"]
-    )
-    mbps = {k: nbytes / t / 1e6 for k, t in timings.items()}
-    return {
+    with contextlib.ExitStack() as stack:
+        engines = {k: stack.enter_context(Engine(jobs=JOBS, **kw))
+                   for k, kw in POOLS.items()}
+        # the untimed first batch also warms every pool and arena
+        streams = {k: [r.stream for r in e.compress_batch(fields, EB, "rel")]
+                   for k, e in engines.items()}
+        times = gate.interleave({
+            k: lambda e=e: e.compress_batch(fields, EB, "rel")
+            for k, e in engines.items()
+        })
+    claims = [gate.Claim("shm_vs_thread", **gate.ratio(times, "thread", "shm"),
+                         floor=1.0 / OVERHEAD_CEILING)]
+    checks = {
+        "byte_identical": streams["thread"] == streams["pickle"] == streams["shm"]
+    }
+    return claims, checks, {
         "fields": N_FIELDS,
         "shape": list(SHAPE),
-        "mb_total": nbytes / 1e6,
         "eb": EB,
         "jobs": JOBS,
-        "thread_s": timings["thread"],
-        "proc_pickle_s": timings["proc_pickle"],
-        "proc_shm_s": timings["proc_shm"],
-        "thread_MBps": mbps["thread"],
-        "proc_pickle_MBps": mbps["proc_pickle"],
-        "proc_shm_MBps": mbps["proc_shm"],
-        "shm_vs_thread": mbps["proc_shm"] / mbps["thread"],
-        "shm_vs_pickle": mbps["proc_shm"] / mbps["proc_pickle"],
-        "byte_identical": identical,
+        "ms": gate.best_ms(times),
+        "shm_vs_pickle": gate.ratio(times, "pickle", "shm"),
     }
 
 
-def test_shm_transport_gate(benchmark, record_result):
+def test_shm_transport_gate():
     if not shm_available():
-        import pytest
-
         pytest.skip("no POSIX/Win32 shared memory on this platform")
-    results = run_once(benchmark, _measure)
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_shm.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
-    if os.environ.get("REPRO_UPDATE_BENCH"):
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-    rows = [{"metric": k, "value": v} for k, v in results.items()]
-    record_result(
-        "bench_shm",
-        render_table(
-            rows,
-            columns=["metric", "value"],
-            title=(
-                f"shm transport: {N_FIELDS} x {SHAPE} batch, "
-                f"process vs thread pool (jobs={JOBS})"
-            ),
-        ),
-    )
-
-    assert results["byte_identical"], "transports diverged on output bytes"
-    ratio = results["shm_vs_thread"]
-    assert ratio >= 1.0 / OVERHEAD_CEILING, (
-        f"shm process pool at {ratio:.2f}x thread throughput — below the "
-        f"1/{OVERHEAD_CEILING} acceptance floor ({results})"
-    )
-    if BASELINE_PATH.exists():
-        committed = json.loads(BASELINE_PATH.read_text())["shm_vs_thread"]
-        assert ratio >= GATE_MARGIN * committed, (
-            f"shm/thread ratio {ratio:.2f} regressed below "
-            f"{GATE_MARGIN:.0%} of committed {committed:.2f}"
-        )
+    gate.enforce("shm", *_measure())

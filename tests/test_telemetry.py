@@ -496,7 +496,10 @@ def test_no_direct_perf_counter_outside_telemetry():
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    assert mod.scan(repo / "src" / "repro") == []
+    assert set(mod.ROOTS) == {"src/repro", "benchmarks"}
+    for root, allowed in mod.ROOTS.items():
+        assert mod.scan(repo / root, allowed) == [], root
+    assert mod.scan(repo / "benchmarks")  # gate.py is the one clock reader
 
 
 def test_compression_result_ratio_inf_on_empty_stream():

@@ -1,39 +1,41 @@
 #!/usr/bin/env python
-"""Lint: forbid direct ``time.perf_counter()`` use outside ``repro.telemetry``.
+"""Lint: forbid direct ``time.perf_counter()`` use outside the two clock owners.
 
 All timing in ``src/repro/`` must go through :mod:`repro.telemetry` (spans or
-``timed_span``) so every measurement shows up in exported traces and there is
-exactly one clock discipline in the codebase.  The telemetry package itself is
-the one place allowed to touch ``perf_counter``.
+``timed_span``) so every measurement shows up in exported traces, and all
+timing in ``benchmarks/`` must go through ``benchmarks/gate.py`` so every
+committed perf gate uses one interleaved timing discipline.  Those two are
+the only places allowed to touch ``perf_counter``.
 
 Usage::
 
-    python tools/check_perf_counter.py            # scan src/repro, exit 1 on hits
-    python tools/check_perf_counter.py --root DIR # scan a different tree
+    python tools/check_perf_counter.py   # scan both trees, exit 1 on hits
 
 The ``scan()`` function is importable so the test suite runs the same check.
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import re
 import sys
 
-#: Directories (relative to the scan root) exempt from the ban.
-ALLOWED_DIRS = ("telemetry",)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+#: Scanned trees (relative to the repo) and the top-level entry in each
+#: that owns the clock and is exempt from the ban.
+ROOTS = {"src/repro": ("telemetry",), "benchmarks": ("gate.py",)}
 
 _PATTERN = re.compile(r"perf_counter")
 
 
-def scan(root: str | pathlib.Path = "src/repro") -> list[tuple[str, int, str]]:
+def scan(root: str | pathlib.Path,
+         allowed: tuple[str, ...] = ()) -> list[tuple[str, int, str]]:
     """Return ``(path, lineno, line)`` for every offending occurrence."""
     root = pathlib.Path(root)
     hits: list[tuple[str, int, str]] = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
-        if rel.parts and rel.parts[0] in ALLOWED_DIRS:
+        if rel.parts and rel.parts[0] in allowed:
             continue
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             if _PATTERN.search(line):
@@ -41,23 +43,21 @@ def scan(root: str | pathlib.Path = "src/repro") -> list[tuple[str, int, str]]:
     return hits
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default="src/repro",
-                    help="package tree to scan (default: src/repro)")
-    args = ap.parse_args(argv)
-    hits = scan(args.root)
+def main() -> int:
+    hits = [hit for root, allowed in ROOTS.items()
+            for hit in scan(REPO / root, allowed)]
     for path, lineno, line in hits:
         print(f"{path}:{lineno}: direct perf_counter use: {line}")
     if hits:
         print(
             f"\n{len(hits)} direct perf_counter call(s) found — use "
             "repro.telemetry spans (telemetry.span / telemetry.timed_span) "
-            "instead.",
+            "in src/repro, or benchmarks/gate.py in benchmarks/.",
             file=sys.stderr,
         )
         return 1
-    print("OK: no direct perf_counter use outside repro/telemetry/")
+    print("OK: no direct perf_counter use outside repro/telemetry/ "
+          "and benchmarks/gate.py")
     return 0
 
 
