@@ -31,7 +31,8 @@ the way to encoded output while it is still resident:
 
 Output is **byte-identical** to the ``reference`` backend for every input
 (enforced by ``tests/test_backends_conformance.py``); the speedup over
-``reference`` is recorded in ``BENCH_backends.json`` and gated in CI.
+``reference`` is recorded in ``benchmarks/BENCH_fused.json`` and gated in
+CI.
 
 Decoding runs the same argument in reverse: instead of four staged
 full-array passes (zero-block scatter → bit un-transpose → sign-magnitude
@@ -52,8 +53,8 @@ axes; long-chunk 1-D keeps ``cumsum``), and the final dequantize
 multiplies the cropped int32 view by ``2eb`` straight into the caller's
 output through NumPy's float64 ufunc loop — bit-identical to the staged
 multiply-then-cast.  Decoded arrays are **bit-identical** to
-``reference`` everywhere; the decode speedup is recorded in
-``BENCH_decode.json`` and gated in CI alongside the encode gate.
+``reference`` everywhere; the decode speedup is recorded in the same
+``benchmarks/BENCH_fused.json`` and gated in CI alongside the encode gate.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from concurrent.futures import (
 from collections import deque
 from dataclasses import dataclass, replace
 from io import BytesIO
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.core.pipeline import (
 from repro.engine import container as fzmc
 from repro.errors import (
     ConfigError,
+    DecompressionError,
     FormatError,
     ReproError,
     TaskError,
@@ -253,19 +254,24 @@ def _proc_codec(chunk, backend) -> FZGPU:
     return codec
 
 
-def _compress_task(codec: FZGPU, data, eb, mode, plan, scratch):
-    """One compression task body, shared by thread and process workers.
+def _codec_task(codec: FZGPU, src, encode, scratch):
+    """One task body, shared by inline, thread and process workers.
 
-    A ``"fast"`` plan calls the codec directly — zero planner overhead and
+    ``encode=None`` decodes the stream ``src`` (dispatching on its magic);
+    ``encode=(eb, mode, plan)`` compresses the field ``src``.  A ``"fast"``
+    plan calls the codec directly — zero planner overhead and
     byte-identical to the pre-planner engine.  Anything else routes through
     :func:`repro.planner.compress_with_plan` (probe + dispatch); the probe
     is deterministic, so the chosen plan — and therefore the bytes — do not
     depend on which pool or worker ran the task.
     """
+    if encode is None:
+        return decompress_any(src, codec=codec, scratch=scratch)
+    eb, mode, plan = encode
     if plan == "fast":
-        return codec.compress(data, eb, mode, scratch=scratch)
+        return codec.compress(src, eb, mode, scratch=scratch)
     return compress_with_plan(
-        data, eb, mode, plan=plan, codec=codec, scratch=scratch
+        src, eb, mode, plan=plan, codec=codec, scratch=scratch
     )
 
 
@@ -296,61 +302,6 @@ def _instrumented_task(fn):
 _PROC_TELEM_FRESH = False
 
 
-def _proc_run(telem: bool, fn, index: int, attempt: int, plan_text: str):
-    """Worker-process task wrapper: record iff the parent was recording.
-
-    Returns ``(result, telemetry_payload_or_None)`` — the worker drains its
-    recorder after every task and ships the buffer home with the result,
-    where :meth:`Recorder.merge` folds it into the parent's trace.
-
-    ``plan_text`` is the parent's serialized fault plan, applied for
-    exactly this task: the parent stays authoritative over injection even
-    when the worker's fork-inherited environment or module state is stale,
-    and ``fire_task(..., hard=True)`` makes an injected ``worker_crash``
-    a *real* process death (the parent sees ``BrokenProcessPool``).
-    """
-    global _PROC_TELEM_FRESH
-    rec = telemetry.get_recorder()
-    if not _PROC_TELEM_FRESH:
-        rec.clear()
-        _PROC_TELEM_FRESH = True
-    rec.enabled = bool(telem)
-    with faults.applied(plan_text):
-        faults.fire_task(index, attempt, hard=True)
-        result = _instrumented_task(fn)
-    return result, (rec.take() if telem else None)
-
-
-def _proc_compress(args) -> tuple[CompressionResult, dict | None]:
-    (data, eb, mode, chunk, backend, telem, plan), index, attempt, \
-        plan_text = args
-    return _proc_run(
-        telem,
-        lambda: _compress_task(
-            _proc_codec(chunk, backend), data, eb, mode, plan,
-            _proc_scratch(),
-        ),
-        index,
-        attempt,
-        plan_text,
-    )
-
-
-def _proc_decompress(args) -> tuple[np.ndarray, dict | None]:
-    (stream, chunk, backend, telem), index, attempt, plan_text = args
-    return _proc_run(
-        telem,
-        lambda: decompress_any(
-            stream,
-            codec=_proc_codec(chunk, backend),
-            scratch=_proc_scratch(),
-        ),
-        index,
-        attempt,
-        plan_text,
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared-memory transport (transport="shm"): tasks carry (name, offset,
 # shape, dtype) descriptors instead of pickled arrays.  Workers attach
@@ -375,48 +326,55 @@ def _attach_input(src):
     return src
 
 
-def _proc_compress_shm(args) -> tuple[CompressionResult, dict | None]:
-    (src, eb, mode, chunk, backend, telem, plan, out_desc), index, \
-        attempt, plan_text = args
+def _proc_task(args) -> tuple[object, dict | None]:
+    """Process-pool task: one ``(src, out_desc, encode)`` item.
 
-    def body():
-        result = _compress_task(
-            _proc_codec(chunk, backend), _attach_input(src), eb, mode, plan,
-            _proc_scratch(),
-        )
-        stream = result.stream
-        if out_desc is None or len(stream) > out_desc.nbytes:
-            # no reserved region, or the stream expanded past it (rare):
-            # ship the bytes inline — still byte-identical, just slower
-            return result
-        out_desc.attach()[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
-        return replace(result, stream=_ShmRef(len(stream)))
+    ``src`` is a pickled payload or an shm/mmap descriptor; with an
+    ``out_desc`` the result is written into that region and only a
+    :class:`_ShmRef` marker rides home — unless it does not fit, in which
+    case it ships inline and is re-checked by the parent.
 
-    return _proc_run(telem, body, index, attempt, plan_text)
-
-
-def _proc_decompress_shm(args) -> tuple[np.ndarray, dict | None]:
-    (src, out_desc, chunk, backend, telem), index, attempt, \
+    Returns ``(result, telemetry_payload_or_None)``: the worker records iff
+    the parent was recording, drains its recorder after every task and
+    ships the buffer home, where :meth:`Recorder.merge` folds it into the
+    parent's trace.  ``plan_text`` is the parent's serialized fault plan,
+    applied for exactly this task: the parent stays authoritative over
+    injection even when the worker's fork-inherited environment or module
+    state is stale, and ``fire_task(..., hard=True)`` makes an injected
+    ``worker_crash`` a *real* process death (the parent sees
+    ``BrokenProcessPool``).
+    """
+    (src, out_desc, encode), chunk, backend, telem, index, attempt, \
         plan_text = args
 
     def body():
-        arr = decompress_any(
-            _attach_input(src),
-            codec=_proc_codec(chunk, backend),
-            scratch=_proc_scratch(),
+        res = _codec_task(
+            _proc_codec(chunk, backend), _attach_input(src), encode,
+            _proc_scratch(),
         )
-        if (
-            out_desc is None
-            or tuple(arr.shape) != out_desc.shape
-            or arr.dtype.str != out_desc.dtype
-        ):
-            # the parent pre-sized the region from the header; a stream that
-            # decodes to something else ships inline and is re-checked there
-            return arr
-        np.copyto(out_desc.attach(), arr)
-        return _ShmRef(int(arr.nbytes))
+        if out_desc is None:
+            return res
+        if encode is not None:
+            stream = res.stream
+            if len(stream) > out_desc.nbytes:
+                return res  # expanded past the reservation (rare)
+            out_desc.attach()[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+            return replace(res, stream=_ShmRef(len(stream)))
+        if tuple(res.shape) != out_desc.shape or res.dtype.str != out_desc.dtype:
+            return res  # the header peek pre-sized something else
+        np.copyto(out_desc.attach(), res)
+        return _ShmRef(int(res.nbytes))
 
-    return _proc_run(telem, body, index, attempt, plan_text)
+    global _PROC_TELEM_FRESH
+    rec = telemetry.get_recorder()
+    if not _PROC_TELEM_FRESH:
+        rec.clear()
+        _PROC_TELEM_FRESH = True
+    rec.enabled = bool(telem)
+    with faults.applied(plan_text):
+        faults.fire_task(index, attempt, hard=True)
+        result = _instrumented_task(body)
+    return result, (rec.take() if telem else None)
 
 
 def _stream_capacity(nbytes: int) -> int:
@@ -493,7 +451,7 @@ class Engine:
     pool:
         ``"thread"`` (default; NumPy releases the GIL in the hot kernels)
         or ``"process"`` (fallback for Python-overhead-bound workloads;
-        fields/streams are pickled across the process boundary).
+        how fields/streams cross the process boundary is ``transport``).
     buffer_pool:
         Optional externally-owned :class:`BufferPool` to share arenas
         across engines (each worker borrows one :class:`Scratch` per task).
@@ -770,85 +728,6 @@ class Engine:
             return None
         return shape
 
-    def _shm_compress_items(
-        self, fields: Iterable, eb, mode: str, telem: bool, plan: str,
-        ledger: _ShmLedger,
-    ) -> Iterator[tuple]:
-        for i, field in enumerate(fields):
-            payload, inputs = self._stage_field(field)
-            out = out_desc = None
-            if isinstance(payload, (ShmDescriptor, MmapDescriptor)):
-                out = self._try_lease(_stream_capacity(payload.nbytes))
-                if out is not None:
-                    out_desc = out.descriptor(
-                        (out.capacity,), np.uint8, writable=True
-                    )
-            ledger.add(i, inputs, out)
-            yield (
-                payload, eb, mode, self._chunk, self._backend_sel,
-                telem, plan, out_desc,
-            )
-
-    def _shm_decompress_items(
-        self, blobs: Iterable[bytes], telem: bool, ledger: _ShmLedger
-    ) -> Iterator[tuple]:
-        for i, blob in enumerate(blobs):
-            src, inputs, out, out_desc = blob, (), None, None
-            shape = self._peek_decode_shape(blob)
-            if shape is not None:
-                inp = self._try_lease(len(blob))
-                if inp is not None:
-                    inp.view(len(blob))[:] = blob
-                    src = inp.descriptor((len(blob),), np.uint8)
-                    inputs = (inp,)
-                    out = self._try_lease(4 * int(math.prod(shape)))
-                    if out is not None:
-                        out_desc = out.descriptor(shape, np.float32, writable=True)
-            ledger.add(i, inputs, out, shape)
-            yield (src, out_desc, self._chunk, self._backend_sel, telem)
-
-    def _drain_shm(
-        self, results: Iterable, ledger: _ShmLedger, consume: Callable
-    ) -> Iterator:
-        """Yield consumed result slots, releasing each task's leases promptly.
-
-        ``consume(index, result)`` copies whatever must outlive the lease
-        *before* the blocks go back to the free list; anything left in the
-        ledger when the generator closes (abandonment, raised errors) is
-        retired via :meth:`_ShmLedger.abandon`.
-        """
-        try:
-            for index, res in enumerate(results):
-                if isinstance(res, TaskFailure):
-                    # a timed-out worker may still be mid-write: never
-                    # recycle that output block
-                    ledger.release(index, retire_out="timeout" in res.history)
-                    yield res
-                else:
-                    out = consume(index, res)
-                    ledger.release(index)
-                    yield out
-        finally:
-            ledger.abandon()
-
-    def _rehydrate(self, ledger: _ShmLedger) -> Callable:
-        """Consume callback: copy an shm-resident stream back into bytes."""
-        def consume(index: int, res: CompressionResult) -> CompressionResult:
-            ref = res.stream
-            if isinstance(ref, _ShmRef):
-                res = replace(res, stream=bytes(ledger.out(index).view(ref.nbytes)))
-            return res
-        return consume
-
-    def _materialize(self, ledger: _ShmLedger) -> Callable:
-        """Consume callback: copy an shm-resident decode into a fresh array."""
-        def consume(index: int, res):
-            if isinstance(res, _ShmRef):
-                view = ledger.out(index).asarray(ledger.shape(index), np.float32)
-                return np.array(view, copy=True, subok=False)
-            return res
-        return consume
-
     # -- task plumbing -----------------------------------------------------
 
     def _note_failure(self, task: _Task, exc: BaseException, kind: str) -> bool:
@@ -910,17 +789,16 @@ class Engine:
             failure=task.failure,
         ) from exc
 
-    def _run_inline(self, thread_fn: Callable, thread_items: Iterable,
-                    on_error: str) -> Iterator:
+    def _run_inline(self, items: Iterable, on_error: str) -> Iterator:
         """jobs=1 path: no executor, but the same retry/quarantine loop."""
         scratch = self.buffer_pool.acquire()
         try:
-            for index, item in enumerate(thread_items):
+            for index, item in enumerate(items):
                 task = _Task(index, item)
                 while True:
                     def body(item=item, attempt=task.attempts):
                         faults.fire_task(index, attempt, hard=False)
-                        return thread_fn(item, scratch)
+                        return _codec_task(self._codec, item[0], item[2], scratch)
 
                     try:
                         out = _instrumented_task(body)
@@ -937,40 +815,33 @@ class Engine:
         finally:
             self.buffer_pool.release(scratch)
 
-    def _run_ordered(
-        self,
-        thread_fn: Callable,
-        proc_fn: Callable,
-        thread_items: Iterable,
-        proc_items: Iterable,
-        window: int | None = None,
-        on_error: str = "raise",
-    ) -> Iterator:
-        """Run tasks through the pool, yielding results in submission order.
+    def _run_ordered(self, items: Iterable, on_error: str = "raise") -> Iterator:
+        """Run ``(src, out_desc, encode)`` tasks, yielding results in order.
 
-        At most ``window`` futures are in flight (default ``4 * jobs``), so
-        streaming callers keep bounded memory even when one slow chunk
-        heads the queue.  Each task runs under the retry loop described in
-        the class docstring; quarantined tasks surface per ``on_error``
-        (``"raise"`` — the default — or ``"return"``, which yields the
-        :class:`TaskFailure` in the task's result slot so surviving
-        results never reorder).
+        ``jobs=1`` runs inline; otherwise at most ``4 * jobs`` futures are
+        in flight, so streaming callers keep bounded memory even when one
+        slow chunk heads the queue.  Each task runs under the retry loop
+        described in the class docstring; quarantined tasks surface per
+        ``on_error`` (``"raise"`` — the default — or ``"return"``, which
+        yields the :class:`TaskFailure` in the task's result slot so
+        surviving results never reorder).
         """
         if on_error not in ("raise", "return"):
             raise ConfigError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         executor = self._ensure_executor()
         if executor is None:
-            yield from self._run_inline(thread_fn, thread_items, on_error)
+            yield from self._run_inline(items, on_error)
             return
-        plan_text = faults.serialized()
-        window = window if window is not None else 4 * self.jobs
+        window = 4 * self.jobs
         if self.pool_kind == "process":
-            items: Iterable = proc_items
             recorder = telemetry.get_recorder()
+            context = (self._chunk, self._backend_sel, telemetry.enabled())
+            plan_text = faults.serialized()
 
             def submit(task: _Task) -> None:
                 task.future = executor.submit(
-                    proc_fn, (task.item, task.index, task.attempts, plan_text)
+                    _proc_task,
+                    (task.item, *context, task.index, task.attempts, plan_text),
                 )
 
             def finalize(res):
@@ -980,16 +851,14 @@ class Engine:
                     recorder.merge(payload)
                 return result
         else:
-            items = thread_items
-
             def submit(task: _Task) -> None:
-                index, attempt, item = task.index, task.attempts, task.item
+                index, attempt, (src, _, encode) = task.index, task.attempts, task.item
 
                 def run():
                     def body():
                         faults.fire_task(index, attempt, hard=False)
                         with self.buffer_pool.borrow() as scratch:
-                            return thread_fn(item, scratch)
+                            return _codec_task(self._codec, src, encode, scratch)
 
                     return _instrumented_task(body)
 
@@ -1091,6 +960,77 @@ class Engine:
             # error) must not leave unfinished tasks counted as in-flight
             self._track_pending(-len(pending))
 
+    def _dispatch(
+        self, items: Iterable, encode: tuple | None = None,
+        on_error: str = "raise",
+    ) -> Iterator:
+        """The one transport switch: run ``items``, yield plain results in order.
+
+        ``encode=None`` decodes streams into fresh arrays;
+        ``encode=(eb, mode, plan)`` compresses fields into
+        :class:`CompressionResult` s whose streams are ``bytes``.
+        :meth:`_run_ordered` runs the tasks inline, on threads or on a
+        process pool.  On the shm transport each item is staged here behind
+        descriptors, and the worker writes its result into a leased output
+        block; an item that cannot be staged ships pickled instead, within
+        the same call.  Every block stays leased until its result slot is
+        consumed (:class:`_ShmLedger`).
+        """
+        shm = self._use_shm()
+        ledger = _ShmLedger()
+
+        def staged():
+            for index, item in enumerate(items):
+                src, inputs, out, out_desc, shape = item, (), None, None, None
+                if shm and encode is not None:
+                    # shm-resident fields and read-only memmaps (and their
+                    # row spans) ship as pure addresses; plain in-memory
+                    # fields are copied into a leased block once
+                    src, inputs = self._stage_field(item)
+                    if isinstance(src, (ShmDescriptor, MmapDescriptor)):
+                        out = self._try_lease(_stream_capacity(src.nbytes))
+                        if out is not None:
+                            out_desc = out.descriptor(
+                                (out.capacity,), np.uint8, writable=True
+                            )
+                elif shm:
+                    shape = self._peek_decode_shape(item)
+                    inp = None if shape is None else self._try_lease(len(item))
+                    if inp is not None:
+                        inp.view(len(item))[:] = item
+                        src = inp.descriptor((len(item),), np.uint8)
+                        inputs = (inp,)
+                        out = self._try_lease(4 * int(math.prod(shape)))
+                        if out is not None:
+                            out_desc = out.descriptor(
+                                shape, np.float32, writable=True
+                            )
+                ledger.add(index, inputs, out, shape)
+                yield src, out_desc, encode
+
+        try:
+            results = self._run_ordered(staged(), on_error=on_error)
+            for index, res in enumerate(results):
+                # copy whatever must outlive the lease before the blocks go
+                # back to the free list; a timed-out worker may still be
+                # mid-write, so its output block is retired, not recycled
+                if isinstance(res, _ShmRef):
+                    view = ledger.out(index).asarray(ledger.shape(index), np.float32)
+                    res = np.array(view, copy=True, subok=False)
+                elif isinstance(getattr(res, "stream", None), _ShmRef):
+                    stream = bytes(ledger.out(index).view(res.stream.nbytes))
+                    res = replace(res, stream=stream)
+                ledger.release(
+                    index,
+                    retire_out=isinstance(res, TaskFailure)
+                    and "timeout" in res.history,
+                )
+                yield res
+        finally:
+            # abandoned generators and raised errors retire every
+            # outstanding output for the same reason
+            ledger.abandon()
+
     # -- batch API ---------------------------------------------------------
 
     def compress_batch(
@@ -1117,42 +1057,10 @@ class Engine:
         """
         fields = list(fields)
         plan = self.plan if plan is None else normalize_plan(plan)
-        telem = telemetry.enabled()
         with telemetry.span("engine.compress_batch") as sp:
             sp.set("n_fields", len(fields))
             sp.set("plan", plan)
-            thread_fn = lambda f, s: _compress_task(  # noqa: E731
-                self._codec, f, eb, mode, plan, s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results = list(
-                    self._drain_shm(
-                        self._run_ordered(
-                            thread_fn,
-                            _proc_compress_shm,
-                            fields,
-                            self._shm_compress_items(
-                                fields, eb, mode, telem, plan, ledger
-                            ),
-                            on_error=on_error,
-                        ),
-                        ledger,
-                        self._rehydrate(ledger),
-                    )
-                )
-            else:
-                results = list(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_compress,
-                        fields,
-                        [(f, eb, mode, self._chunk, self._backend_sel, telem,
-                          plan) for f in fields],
-                        on_error=on_error,
-                    )
-                )
-        return results
+            return list(self._dispatch(fields, (eb, mode, plan), on_error))
 
     def decompress_batch(
         self, streams: Sequence[bytes], on_error: str = "raise"
@@ -1164,39 +1072,9 @@ class Engine:
         ``on_error`` behaves as in :meth:`compress_batch`.
         """
         streams = list(streams)
-        telem = telemetry.enabled()
         with telemetry.span("engine.decompress_batch") as sp:
             sp.set("n_streams", len(streams))
-            thread_fn = lambda b, s: decompress_any(  # noqa: E731
-                b, codec=self._codec, scratch=s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results = list(
-                    self._drain_shm(
-                        self._run_ordered(
-                            thread_fn,
-                            _proc_decompress_shm,
-                            streams,
-                            self._shm_decompress_items(streams, telem, ledger),
-                            on_error=on_error,
-                        ),
-                        ledger,
-                        self._materialize(ledger),
-                    )
-                )
-            else:
-                results = list(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress,
-                        streams,
-                        [(b, self._chunk, self._backend_sel, telem)
-                         for b in streams],
-                        on_error=on_error,
-                    )
-                )
-        return results
+            return list(self._dispatch(streams, on_error=on_error))
 
     def decompress_stream(
         self, streams: Iterable[bytes], on_error: str = "raise"
@@ -1210,39 +1088,9 @@ class Engine:
         fast path: :mod:`repro.serve` feeds container segments in and flushes
         each decoded chunk to the client before the next finishes.
         """
-        telem = telemetry.enabled()
-        thread_fn = lambda b, s: decompress_any(  # noqa: E731
-            b, codec=self._codec, scratch=s
-        )
-
-        def tasks():
-            for blob in streams:
-                yield (blob, self._chunk, self._backend_sel, telem)
-
         with telemetry.span("engine.decompress_stream") as sp:
             n = 0
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results: Iterator = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        streams,
-                        self._shm_decompress_items(streams, telem, ledger),
-                        on_error=on_error,
-                    ),
-                    ledger,
-                    self._materialize(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_decompress,
-                    streams,
-                    tasks(),
-                    on_error=on_error,
-                )
-            for result in results:
+            for result in self._dispatch(streams, on_error=on_error):
                 n += 1
                 yield result
             sp.set("n_streams", n)
@@ -1285,7 +1133,6 @@ class Engine:
         eb = ensure_positive(eb, "eb")
         plan = self.plan if plan is None else normalize_plan(plan)
         spans = plan_chunks(data.shape, self._axis0_align(data.ndim), chunk_bytes)
-        telem = telemetry.enabled()
         with telemetry.span("engine.compress_file") as root:
             root.set("n_chunks", len(spans))
             root.set("plan", plan)
@@ -1304,40 +1151,10 @@ class Engine:
             writer = fzmc.ContainerWriter(fileobj, data.shape, eb_abs)
             compressed = 0
             chunk_plans: list[str] = []
-            thread_fn = lambda span, s: _compress_task(  # noqa: E731
-                self._codec,
-                np.ascontiguousarray(data[span[0] : span[1]]), eb_abs, "abs",
-                plan, s,
+            # chunk spans of a memmap/ShmArray field stage as addresses
+            results = self._dispatch(
+                (data[a:b] for a, b in spans), (eb_abs, "abs", plan)
             )
-            if self._use_shm():
-                # chunk spans of a memmap/ShmArray field ship as pure
-                # addresses; plain in-memory fields are staged chunk by
-                # chunk (the copy the pickle path paid anyway)
-                ledger = _ShmLedger()
-                results: Iterable = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_compress_shm,
-                        spans,
-                        self._shm_compress_items(
-                            (data[a:b] for a, b in spans), eb_abs, "abs",
-                            telem, plan, ledger,
-                        ),
-                    ),
-                    ledger,
-                    self._rehydrate(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_compress,
-                    spans,
-                    (
-                        (np.ascontiguousarray(data[a:b]), eb_abs, "abs",
-                         self._chunk, self._backend_sel, telem, plan)
-                        for a, b in spans
-                    ),
-                )
             for (a, b), result in zip(spans, results):
                 writer.add_segment(result.stream, b - a, plan=plan_id(result.plan))
                 chunk_plans.append(result.plan)
@@ -1375,7 +1192,9 @@ class Engine:
 
         Concatenated containers must agree on their trailing dimensions and
         are stitched along axis 0 — the natural "append more chunks by
-        appending a container" streaming idiom.
+        appending a container" streaming idiom.  A full decode is an ROI
+        decode over the full slab: one :func:`~repro.roi.plan_roi` plan,
+        scattered by :meth:`_scatter`.
 
         With ``salvage=True`` a damaged container is decoded best-effort
         instead of raising: every CRC-valid segment is recovered
@@ -1388,63 +1207,10 @@ class Engine:
             return self._decompress_salvage(fileobj)
         with telemetry.span("engine.decompress_file") as root:
             with telemetry.span("engine.read_index"):
-                indexes = fzmc.read_containers(fileobj)
-            tail = indexes[0].shape[1:]
-            for idx in indexes[1:]:
-                if idx.shape[1:] != tail:
-                    raise FormatError(
-                        f"concatenated containers disagree on trailing dims: "
-                        f"{idx.shape[1:]} vs {tail}"
-                    )
-            total_rows = sum(idx.shape[0] for idx in indexes)
-            out = np.empty((total_rows,) + tail, dtype=np.float32)
-            # Collect (payload, expected_shape) per segment, decode through
-            # the worker pool, scatter into the output rows in order.
-            payloads: list[bytes] = []
-            extents: list[tuple[int, ...]] = []
-            start = 0
-            for idx in indexes:
-                for ordinal, entry in enumerate(idx.segments):
-                    payloads.append(
-                        fzmc.read_segment_payload(fileobj, start, entry, ordinal)
-                    )
-                    extents.append((entry.extent,) + tail)
-                start += idx.container_bytes
-            root.set("n_chunks", len(payloads))
-            telem = telemetry.enabled()
-            row = 0
-            thread_fn = lambda b, s: decompress_any(  # noqa: E731
-                b, codec=self._codec, scratch=s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results: Iterable = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        payloads,
-                        self._shm_decompress_items(payloads, telem, ledger),
-                    ),
-                    ledger,
-                    self._materialize(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_decompress,
-                    payloads,
-                    [(b, self._chunk, self._backend_sel, telem)
-                     for b in payloads],
-                )
-            for expected, chunk_arr in zip(extents, results):
-                check_consistent(
-                    tuple(chunk_arr.shape) == tuple(expected),
-                    f"chunk decoded to shape {tuple(chunk_arr.shape)}, container "
-                    f"index declares {tuple(expected)}",
-                )
-                out[row : row + expected[0]] = chunk_arr
-                row += expected[0]
-            root.set("bytes_in", sum(len(p) for p in payloads))
+                plan = plan_roi(fzmc.read_containers(fileobj), ())
+            root.set("n_chunks", plan.n_segments)
+            out, _ = self._scatter(fileobj, plan)
+            root.set("bytes_in", sum(t.entry.seg_bytes for t in plan.tasks))
             root.set("bytes_out", int(out.nbytes))
         return out
 
@@ -1467,15 +1233,6 @@ class Engine:
             telemetry.counter("roi.chunks_skipped", plan.n_skipped)
         return plan
 
-    def _roi_payloads(self, fileobj: BinaryIO, plan: RoiPlan) -> list[bytes]:
-        """Read + CRC-check exactly the intersecting segments, in file order."""
-        return [
-            fzmc.read_segment_payload(
-                fileobj, task.container_start, task.entry, task.seg_ordinal
-            )
-            for task in plan.tasks
-        ]
-
     @staticmethod
     def _roi_fill(task, payload: bytes) -> np.float32:
         """Fill value of a constant segment, cross-checked against the index.
@@ -1492,6 +1249,90 @@ class Engine:
             f"container index declares {task.chunk_shape}",
         )
         return np.float32(info["fill"])
+
+    def _scatter(
+        self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False,
+        roi: bool = False,
+    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
+        """The decode core: read, decode and scatter every task of ``plan``.
+
+        Segments are read and CRC-checked in file order; constant segments
+        are filled in place and the rest decode through :meth:`_dispatch`.
+        Each decoded chunk is written into the output as it arrives, so at
+        most one ``_run_ordered`` window of chunks is alive at a time.
+        Strict mode raises the first failure with the usual taxonomy;
+        ``salvage=True`` NaN-fills that task's rows and records why in the
+        :class:`~repro.engine.container.SalvageReport` (always complete in
+        strict mode).  ``roi=True`` emits the ``roi.*`` counters.
+        """
+        if salvage:
+            out = np.full(plan.out_shape, np.nan, dtype=np.float32)
+        else:
+            out = np.empty(plan.out_shape, dtype=np.float32)
+        payloads: list[bytes | None] = []
+        for task in plan.tasks:
+            try:
+                payloads.append(fzmc.read_segment_payload(
+                    fileobj, task.container_start, task.entry, task.seg_ordinal
+                ))
+            except FormatError:
+                if not salvage:
+                    raise
+                payloads.append(None)
+        decoded = self._dispatch(
+            (p for p in payloads if p is not None and p[:4] != CONSTANT_MAGIC),
+            on_error="return" if salvage else "raise",
+        )
+        outcomes: list[fzmc.SegmentOutcome] = []
+        recovered = filled = 0
+        try:
+            for task, payload in zip(plan.tasks, payloads):
+                try:
+                    if payload is None:
+                        raise FormatError("segment corrupt or missing")
+                    if payload[:4] == CONSTANT_MAGIC:
+                        tile = self._roi_fill(task, payload)
+                        filled += 1
+                    else:
+                        tile = next(decoded)
+                        if isinstance(tile, TaskFailure):
+                            raise DecompressionError(
+                                f"payload decode failed: {tile.error_type}"
+                            )
+                        check_consistent(
+                            tuple(tile.shape) == task.chunk_shape,
+                            f"decoded shape {tuple(tile.shape)} does not "
+                            f"match declared {task.chunk_shape}",
+                        )
+                        tile = tile[task.local]
+                except ReproError as exc:
+                    if not salvage:
+                        raise
+                    outcomes.append(fzmc.SegmentOutcome(
+                        task.ordinal, task.rows, task.tile_bytes, "lost", str(exc)
+                    ))
+                    continue
+                out[task.out_row0 : task.out_row0 + task.rows] = tile
+                recovered += task.tile_bytes
+                outcomes.append(fzmc.SegmentOutcome(
+                    task.ordinal, task.rows, task.tile_bytes, "recovered"
+                ))
+        finally:
+            decoded.close()
+        total = int(out.nbytes)
+        report = fzmc.SalvageReport(
+            shape=plan.out_shape,
+            resynced=False,
+            total_bytes=total,
+            recovered_bytes=recovered,
+            lost_bytes=total - recovered,
+            segments=tuple(outcomes),
+        )
+        if roi and telemetry.enabled():
+            telemetry.counter("roi.chunks_decoded", report.recovered_segments - filled)
+            telemetry.counter("roi.chunks_filled", filled)
+            telemetry.counter("roi.bytes_out", total)
+        return out, report
 
     def decompress_roi_from(self, fileobj: BinaryIO, slab, salvage: bool = False):
         """Decode only the hyperslab ``slab`` of a multi-chunk container.
@@ -1518,120 +1359,26 @@ class Engine:
             root.set("n_segments", plan.n_segments)
             root.set("n_intersecting", len(plan.tasks))
             if salvage:
-                out, report = self._roi_salvage(fileobj, plan)
+                result = self._roi_salvage(fileobj, plan)
+                out = result[0]
             else:
-                out = self._roi_strict(fileobj, plan)
+                result = out = self._roi_strict(fileobj, plan)
             root.set("bytes_out", int(out.nbytes))
-        return (out, report) if salvage else out
+        return result
 
     def decompress_roi(self, blob: bytes, slab, salvage: bool = False):
         """In-memory variant of :meth:`decompress_roi_from`."""
         return self.decompress_roi_from(BytesIO(blob), slab, salvage=salvage)
 
     def _roi_strict(self, fileobj: BinaryIO, plan: RoiPlan) -> np.ndarray:
-        out = np.empty(plan.out_shape, dtype=np.float32)
-        payloads = self._roi_payloads(fileobj, plan)
-        decode_tasks = []
-        decode_payloads: list[bytes] = []
-        filled = 0
-        for task, payload in zip(plan.tasks, payloads):
-            if payload[:4] == CONSTANT_MAGIC:
-                fill = self._roi_fill(task, payload)
-                out[task.out_row0 : task.out_row0 + task.rows] = fill
-                filled += 1
-            else:
-                decode_tasks.append(task)
-                decode_payloads.append(payload)
-        results = self._decode_tolerant(decode_payloads, on_error="raise")
-        for task, arr in zip(decode_tasks, results):
-            check_consistent(
-                tuple(arr.shape) == task.chunk_shape,
-                f"chunk decoded to shape {tuple(arr.shape)}, container "
-                f"index declares {task.chunk_shape}",
-            )
-            out[task.out_row0 : task.out_row0 + task.rows] = arr[task.local]
-        if telemetry.enabled():
-            telemetry.counter("roi.chunks_decoded", len(decode_tasks))
-            telemetry.counter("roi.chunks_filled", filled)
-            telemetry.counter("roi.bytes_out", int(out.nbytes))
-        return out
+        """Strict ROI decode: any damage inside the slab raises."""
+        return self._scatter(fileobj, plan, roi=True)[0]
 
     def _roi_salvage(
         self, fileobj: BinaryIO, plan: RoiPlan
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
         """Best-effort ROI decode: NaN-fill damage inside the slab only."""
-        out = np.full(plan.out_shape, np.nan, dtype=np.float32)
-        slots: list[tuple[object, bytes | None, str]] = []
-        for task in plan.tasks:
-            try:
-                payload = fzmc.read_segment_payload(
-                    fileobj, task.container_start, task.entry, task.seg_ordinal
-                )
-            except FormatError as exc:
-                slots.append((task, None, f"segment read failed: {exc}"))
-            else:
-                slots.append((task, payload, ""))
-        decoded = iter(
-            self._decode_tolerant(
-                [p for _, p, _ in slots
-                 if p is not None and p[:4] != CONSTANT_MAGIC]
-            )
-        )
-        outcomes: list[fzmc.SegmentOutcome] = []
-        recovered = filled = n_decoded = 0
-        for task, payload, detail in slots:
-            ok = False
-            if payload is not None:
-                if payload[:4] == CONSTANT_MAGIC:
-                    try:
-                        fill = self._roi_fill(task, payload)
-                    except ReproError as exc:
-                        detail = f"constant segment invalid: {exc}"
-                    else:
-                        out[task.out_row0 : task.out_row0 + task.rows] = fill
-                        ok = True
-                        filled += 1
-                else:
-                    res = next(decoded)
-                    if isinstance(res, TaskFailure):
-                        detail = f"payload decode failed: {res.error_type}"
-                    elif tuple(res.shape) != task.chunk_shape:
-                        detail = (
-                            f"decoded shape {tuple(res.shape)} does not "
-                            f"match declared {task.chunk_shape}"
-                        )
-                    else:
-                        out[task.out_row0 : task.out_row0 + task.rows] = (
-                            res[task.local]
-                        )
-                        ok = True
-                        n_decoded += 1
-            nbytes = task.tile_bytes
-            if ok:
-                recovered += nbytes
-                outcomes.append(
-                    fzmc.SegmentOutcome(task.ordinal, task.rows, nbytes, "recovered")
-                )
-            else:
-                outcomes.append(
-                    fzmc.SegmentOutcome(
-                        task.ordinal, task.rows, nbytes, "lost", detail
-                    )
-                )
-        total = int(out.nbytes)
-        report = fzmc.SalvageReport(
-            shape=plan.out_shape,
-            resynced=False,
-            total_bytes=total,
-            recovered_bytes=recovered,
-            lost_bytes=total - recovered,
-            segments=tuple(outcomes),
-        )
-        if telemetry.enabled():
-            telemetry.counter("roi.chunks_decoded", n_decoded)
-            telemetry.counter("roi.chunks_filled", filled)
-            telemetry.counter("roi.bytes_out", total)
-        return out, report
+        return self._scatter(fileobj, plan, salvage=True, roi=True)
 
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
@@ -1652,7 +1399,12 @@ class Engine:
         if isinstance(source, (bytes, bytearray, memoryview)):
             source = BytesIO(source)
         plan = self._roi_read_plan(source, slab)
-        payloads = self._roi_payloads(source, plan)
+        payloads = [
+            fzmc.read_segment_payload(
+                source, task.container_start, task.entry, task.seg_ordinal
+            )
+            for task in plan.tasks
+        ]
         return self._roi_tile_gen(plan, payloads)
 
     def _roi_tile_gen(
@@ -1730,48 +1482,6 @@ class Engine:
 
     # -- salvage decode ----------------------------------------------------
 
-    def _decode_tolerant(
-        self, payloads: Sequence[bytes], on_error: str = "return"
-    ) -> list:
-        """Decode core streams through the pool, one result slot per input.
-
-        With the default ``on_error="return"`` a payload that fails to
-        decode lands as a :class:`TaskFailure` in its slot instead of
-        aborting the surviving segments (the salvage path);
-        ``on_error="raise"`` surfaces the first failure with the usual
-        taxonomy (the strict ROI path).
-        """
-        payloads = list(payloads)
-        telem = telemetry.enabled()
-        thread_fn = lambda b, s: decompress_any(  # noqa: E731
-            b, codec=self._codec, scratch=s
-        )
-        if self._use_shm():
-            ledger = _ShmLedger()
-            return list(
-                self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        payloads,
-                        self._shm_decompress_items(payloads, telem, ledger),
-                        on_error=on_error,
-                    ),
-                    ledger,
-                    self._materialize(ledger),
-                )
-            )
-        return list(
-            self._run_ordered(
-                thread_fn,
-                _proc_decompress,
-                payloads,
-                [(b, self._chunk, self._backend_sel, telem)
-                 for b in payloads],
-                on_error=on_error,
-            )
-        )
-
     def _decompress_salvage(
         self, fileobj: BinaryIO
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
@@ -1780,30 +1490,28 @@ class Engine:
         Two strategies, picked by whether the end-anchored index trailer
         still parses:
 
-        * **indexed** — the index survived (payload-only damage): every
-          declared segment slot is checked against the CRC-valid segments
-          actually present at its offset; damaged slots are NaN-filled in
+        * **indexed** — the index survived (payload-only damage): an ROI
+          salvage over the full slab.  Every declared segment is read and
+          CRC-checked at its indexed offset; damaged ones are NaN-filled in
           an output of the full declared shape.
         * **re-sync** — the index itself is unreadable (truncation, trailer
           damage): a forward scan for CRC-valid ``FZSG`` segment frames
           (:func:`~repro.engine.container.resync_segments`) recovers what
           remains, stitched along axis 0 in file order.
         """
-        fileobj.seek(0)
-        blob = fileobj.read()
-        index_error = ""
         with telemetry.span("engine.salvage") as root:
             try:
-                indexes = fzmc.read_containers(BytesIO(blob))
+                indexes = fzmc.read_containers(fileobj)
             except FormatError as exc:
-                indexes = None
-                index_error = str(exc)
-            hits = fzmc.resync_segments(blob)
-            if indexes is not None:
-                out, report = self._salvage_indexed(indexes, hits)
+                root.set("index_error", str(exc))
+                fileobj.seek(0)
+                out, report = self._salvage_resync(
+                    fzmc.resync_segments(fileobj.read())
+                )
             else:
-                root.set("index_error", index_error)
-                out, report = self._salvage_resync(hits)
+                out, report = self._scatter(
+                    fileobj, plan_roi(indexes, ()), salvage=True
+                )
             root.set("resynced", report.resynced)
             root.set("recovered_bytes", report.recovered_bytes)
             root.set("lost_bytes", report.lost_bytes)
@@ -1818,72 +1526,6 @@ class Engine:
                 )
         return out, report
 
-    def _salvage_indexed(
-        self, indexes: list[fzmc.ContainerIndex], hits: list[fzmc.SegmentHit]
-    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
-        """Salvage with a surviving index: NaN-fill exactly the damaged rows."""
-        tail = indexes[0].shape[1:]
-        for idx in indexes[1:]:
-            if idx.shape[1:] != tail:
-                raise FormatError(
-                    f"concatenated containers disagree on trailing dims: "
-                    f"{idx.shape[1:]} vs {tail}"
-                )
-        row_bytes = 4 * math.prod(tail)
-        by_offset = {h.offset: h for h in hits}
-        # one slot per declared segment: (extent, payload-or-None)
-        slots: list[tuple[int, bytes | None]] = []
-        start = 0
-        for idx in indexes:
-            for entry in idx.segments:
-                hit = by_offset.get(start + entry.offset)
-                slots.append((entry.extent, hit.payload if hit else None))
-            start += idx.container_bytes
-        decoded = iter(
-            self._decode_tolerant([p for _, p in slots if p is not None])
-        )
-        total_rows = sum(idx.shape[0] for idx in indexes)
-        out = np.full((total_rows,) + tail, np.nan, dtype=np.float32)
-        outcomes: list[fzmc.SegmentOutcome] = []
-        recovered = 0
-        row = 0
-        for ordinal, (extent, payload) in enumerate(slots):
-            nbytes = extent * row_bytes
-            detail = "segment corrupt or missing"
-            ok = False
-            if payload is not None:
-                res = next(decoded)
-                if isinstance(res, TaskFailure):
-                    detail = f"payload decode failed: {res.error_type}"
-                elif tuple(res.shape) != (extent,) + tail:
-                    detail = (
-                        f"decoded shape {tuple(res.shape)} does not match "
-                        f"declared {(extent,) + tail}"
-                    )
-                else:
-                    out[row : row + extent] = res
-                    ok = True
-            if ok:
-                recovered += nbytes
-                outcomes.append(
-                    fzmc.SegmentOutcome(ordinal, extent, nbytes, "recovered")
-                )
-            else:
-                outcomes.append(
-                    fzmc.SegmentOutcome(ordinal, extent, nbytes, "lost", detail)
-                )
-            row += extent
-        total = total_rows * row_bytes
-        report = fzmc.SalvageReport(
-            shape=(total_rows,) + tail,
-            resynced=False,
-            total_bytes=total,
-            recovered_bytes=recovered,
-            lost_bytes=total - recovered,
-            segments=tuple(outcomes),
-        )
-        return out, report
-
     def _salvage_resync(
         self, hits: list[fzmc.SegmentHit]
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
@@ -1895,7 +1537,7 @@ class Engine:
         unknowable without the index.
         """
         hits = sorted(hits, key=lambda h: h.offset)
-        results = self._decode_tolerant([h.payload for h in hits])
+        results = self._dispatch([h.payload for h in hits], on_error="return")
         outcomes: list[fzmc.SegmentOutcome] = []
         parts: list[np.ndarray] = []
         tail: tuple[int, ...] | None = None

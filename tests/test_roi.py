@@ -29,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, telemetry
-from repro.engine import Engine, plan_chunks, read_containers
+from repro.core.pipeline import FZGPU
+from repro.engine import Engine, iter_segments, plan_chunks, read_containers
 from repro.engine import container as fzmc
 from repro.errors import (
     ConfigError,
@@ -176,7 +177,7 @@ _POOL_LEGS = [
 
 
 @pytest.mark.parametrize("pool,transport", _POOL_LEGS)
-def test_roi_matches_across_pools_and_transports(pool, transport):
+def test_roi_matches_across_pools_and_transports(pool, transport, rotten_pair):
     data = _field((96, 48), seed=3)
     with Engine(jobs=2, pool=pool, transport=transport, **FAST) as engine:
         blob = engine.compress_chunked(data, EB, chunk_bytes=4096)
@@ -185,6 +186,34 @@ def test_roi_matches_across_pools_and_transports(pool, transport):
             got = engine.decompress_roi(blob, spec)
             expect = np.ascontiguousarray(full[resolve_slab(spec, full.shape).slices()])
             assert got.tobytes() == expect.tobytes()
+        # salvage, streams and tiles ride the same transport switch: every
+        # leg matches an inline engine byte for byte
+        _, rotten = rotten_pair
+        payloads = [p for _, _, p in iter_segments(io.BytesIO(blob))]
+        with Engine(jobs=1) as inline:
+            for salvage in (
+                lambda e: e.decompress_chunked(rotten, salvage=True),
+                lambda e: e.decompress_roi(rotten, "16:80,3:29", salvage=True),
+            ):
+                (got, report), (expect, expect_report) = salvage(engine), salvage(inline)
+                assert got.tobytes() == expect.tobytes()
+                assert report.summary() == expect_report.summary()
+                assert report.lost_segments == 1
+            streamed = list(engine.decompress_stream(iter(payloads)))
+            expect_streamed = list(inline.decompress_stream(iter(payloads)))
+            assert [a.tobytes() for a in streamed] == [
+                a.tobytes() for a in expect_streamed
+            ]
+            finals = [
+                (t.row0, t.data.tobytes())
+                for t in engine.iter_roi_tiles(blob, "10:90,2:40")
+                if t.final
+            ]
+            assert finals == [
+                (t.row0, t.data.tobytes())
+                for t in inline.iter_roi_tiles(blob, "10:90,2:40")
+                if t.final
+            ]
 
 
 def test_roi_over_concatenated_containers(eng):
@@ -268,6 +297,17 @@ def test_roi_skips_non_intersecting_segments_proven_by_telemetry(eng):
     assert _counter(snap, "roi.bytes_out") == got.nbytes
     spans = [e.get("name") for e in snap["events"]]
     assert "engine.decompress_roi" in spans and "roi.plan" in spans
+    # a full decode runs the same decode core but is not an ROI request
+    telemetry.enable()
+    try:
+        eng.decompress_chunked(blob)
+        snap = rec.snapshot()
+    finally:
+        telemetry.disable()
+        rec.clear()
+    assert _counter(snap, "roi.requests") == 0
+    assert _counter(snap, "roi.chunks_skipped") == 0
+    assert _counter(snap, "container.segments_read") == 4
 
 
 def test_progressive_tiles_emit_leveled_counters(eng):
@@ -392,6 +432,24 @@ def test_every_roi_failure_is_a_typed_repro_error(eng, two_segment_blob):
     for blob, spec in bad_inputs:
         with pytest.raises(ReproError):
             eng.decompress_roi(blob, spec)
+
+
+def test_axis1_split_container_is_a_typed_error_on_every_decode(eng):
+    """No engine call writes split_axis=1; every decode must refuse it typed."""
+    data = _field((32, 16), seed=21)
+    buf = io.BytesIO()
+    writer = fzmc.ContainerWriter(buf, data.shape, EB, split_axis=1)
+    for a in (0, 8):
+        writer.add_segment(FZGPU().compress(data[:, a : a + 8], EB, "abs").stream, 8)
+    writer.finish()
+    blob = buf.getvalue()
+    for decode in (
+        lambda: eng.decompress_chunked(blob),
+        lambda: eng.decompress_chunked(blob, salvage=True),
+        lambda: eng.decompress_roi(blob, "0:8"),
+    ):
+        with pytest.raises(ReproError):
+            decode()
 
 
 # ---------------------------------------------------------------------------
