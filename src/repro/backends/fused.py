@@ -15,11 +15,13 @@ the way to encoded output while it is still resident:
    while ``max |q| < 2**51``, so float64 subtraction commutes bit-for-bit
    with the reference's int64 pipeline (a guard falls back to the
    ``reference`` kernels for pathological ``data/eb`` ratios);
-2. sign-magnitude encode in int16 — when no residual saturates (checked
-   per slab), a two's-complement int16 of a magnitude ≤ 0x7FFF has bit 15
-   set exactly when negative, i.e. the int16 bit pattern's top bit *is*
-   the format's sign bit, collapsing the clamp/compare/mask sequence to
-   ``|x| | (x & 0x8000)``;
+2. sign-magnitude encode in int16 — a two's-complement int16 of a
+   magnitude ≤ 0x7FFF has bit 15 set exactly when negative, i.e. the
+   int16 bit pattern's top bit *is* the format's sign bit, collapsing the
+   clamp/compare/mask sequence to ``|x| | (x & 0x8000)``
+   (:func:`~repro.core.quantize.encode_sign_magnitude_int16`); a slab
+   whose residuals saturate (checked per slab) is first counted and
+   clamped to ±0x7FFF in float64;
 3. gather the slab's codes to chunk-major order and emit whole 32x32-bit
    tiles through a pending-codes buffer (slab size need not divide the
    2048-code tile);
@@ -41,11 +43,17 @@ field in the encoder's slabs and, per slab, scatters only the needed
 tiles' literal blocks straight into the bit-plane-major layout, applies
 the masked-swap network once more (the transpose is an involution), and
 un-gathers chunk-major codes into an int32 slab that never leaves cache
-until the float32 rows are written out.  Decode magnitudes are masked to
-15 bits, so every per-chunk prefix sum — intermediates included — is
-bounded by ``0x7FFF * chunk_elems``; a single up-front ``uint16``
-max-reduction proves the whole slab fits int32 exactly; chunk geometries
-that might not take the same ``_NeedsExactPath`` fallback to the
+until the float32 rows are written out.  The sign-magnitude decode is
+branch-free (:func:`~repro.core.quantize.decode_sign_magnitude_into`):
+with ``s = int16(code) >> 15`` the value is ``((code & 0x7FFF) ^ s) - s``,
+three plain integer passes and no masked ``where=`` ufunc, whose
+per-element branch does not vectorize (``docs/PERFORMANCE.md`` has the
+measured pairs).  Decode
+magnitudes are masked to 15 bits, so every per-chunk prefix sum —
+intermediates included — is bounded by ``0x7FFF * chunk_elems``, which
+fits int32 for every default chunk; for custom chunks where it might
+not, a per-slab max-reduction checks the slab, and a slab that might
+overflow takes the same ``_NeedsExactPath`` fallback to the
 ``reference`` decoders, which do int64 arithmetic.  The inverse Lorenzo
 itself runs in place as a ladder of vectorized adds along each axis
 (``cumsum``'s element-by-element carry is far slower on short accumulate
@@ -68,7 +76,12 @@ from repro.backends.base import EncodeOutcome, KernelBackend
 from repro.backends.reference import ReferenceBackend, padded_stage_sizes
 from repro.core.bitshuffle import TILE_WORDS
 from repro.core.encoder import BLOCK_WORDS, EncodedBlocks, check_blocks
-from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
+from repro.core.quantize import (
+    MAX_MAGNITUDE,
+    QuantizerStats,
+    decode_sign_magnitude_into,
+    encode_sign_magnitude_int16,
+)
 from repro.errors import DecompressionError
 from repro.utils.bits import (
     _SWAP_DISTANCES,
@@ -317,27 +330,20 @@ def _fused_encode_codes(
         delta = src
         slab_max = float(max(delta.max(), -delta.min())) if rows else 0.0
         max_abs = max(max_abs, int(slab_max))
-        cr = codes_rm[:rows]
         if slab_max > MAX_MAGNITUDE:
-            # rare saturating slab: clamp in float64 exactly as reference
-            mg = dst
-            np.absolute(delta, out=mg)
+            # rare saturating slab: count, then clamp in float64 exactly as
+            # reference clamps the magnitude
+            np.absolute(delta, out=dst)
             mask = scratch.take("fz.mask", (rows,) + inner_p, bool)
-            np.greater(mg, MAX_MAGNITUDE, out=mask)
+            np.greater(dst, MAX_MAGNITUDE, out=mask)
             n_sat += int(np.count_nonzero(mask))
-            np.minimum(mg, float(MAX_MAGNITUDE), out=mg)
-            np.copyto(cr, mg, casting="unsafe")
-            np.less(delta, 0, out=mask)
-            np.bitwise_or(cr, SIGN_BIT, out=cr, where=mask)
-        else:
-            # |delta| <= 0x7FFF fits int16 exactly, and the int16 sign bit
-            # of such a value is set iff negative — it *is* SIGN_BIT
-            xi = cr.view(np.int16)
-            np.copyto(xi, delta, casting="unsafe")
-            mg16 = scratch.take("fz.m16", (rows,) + inner_p, np.uint16)
-            np.absolute(xi, out=mg16.view(np.int16))
-            np.bitwise_and(cr, SIGN_BIT, out=cr)
-            np.bitwise_or(cr, mg16, out=cr)
+            np.clip(delta, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=delta)
+        # |delta| <= 0x7FFF now fits int16 exactly
+        cr = codes_rm[:rows]
+        xi = cr.view(np.int16)
+        np.copyto(xi, delta, casting="unsafe")
+        mg16 = scratch.take("fz.m16", (rows,) + inner_p, np.uint16)
+        encode_sign_magnitude_int16(xi, cr, mg16)
         if nd == 1:
             flush_tiles(cr)  # 1-D chunk-major order is row-major order
             continue
@@ -390,6 +396,7 @@ def _fused_decode_codes(
             f"padded shape {padded} is not aligned to chunk {chunk}"
         )
     chunk_elems = math.prod(chunk)
+    may_overflow = MAX_MAGNITUDE * chunk_elems >= _I32_LIMIT
 
     orig_shape = tuple(orig_shape)
     inner = orig_shape[1:]
@@ -431,23 +438,20 @@ def _fused_decode_codes(
             cr = scratch.take("fzd.c16", (rows * inner_n,), np.uint16)
             view = cr.reshape(view_shape).transpose(perm)
             np.copyto(view, sl.reshape(view.shape))
-        # sign-magnitude decode into int32: magnitudes are masked to 15
-        # bits, and every prefix sum — intermediate cumsum passes included
-        # — is a sub-box sum of one chunk's deltas, so max|mag| *
-        # prod(chunk) bounds them all.  One cheap uint16 reduction proves
-        # the whole slab fits int32 (default chunks can never trip it:
-        # 0x7FFF * 512 << 2**31); oversized custom chunks take the int64
-        # reference path instead
+        # branch-free sign-magnitude decode into int32: magnitudes are
+        # masked to 15 bits, and every prefix sum — intermediate cumsum
+        # passes included — is a sub-box sum of one chunk's deltas, so
+        # max|mag| * prod(chunk) bounds them all.  Default chunks can never
+        # trip it (0x7FFF * 512 << 2**31); for oversized custom chunks a
+        # max-reduction checks the slab, and a slab that might overflow
+        # takes the int64 reference path instead
         f = scratch.take("fzd.i32a", view_shape, np.int32)
-        bsrc = cr.reshape(view_shape)
-        mag = scratch.take("fzd.m16", view_shape, np.uint16)
-        np.bitwise_and(bsrc, np.uint16(MAX_MAGNITUDE), out=mag)
-        if int(mag.max(initial=0)) * chunk_elems >= _I32_LIMIT:
+        sign = scratch.take("fzd.s16", view_shape, np.int16)
+        decode_sign_magnitude_into(cr.reshape(view_shape), f, sign)
+        if may_overflow and (
+            max(int(f.max()), -int(f.min())) * chunk_elems >= _I32_LIMIT
+        ):
             raise _NeedsExactPath
-        neg = scratch.take("fzd.neg", view_shape, bool)
-        np.greater_equal(bsrc, SIGN_BIT, out=neg)
-        np.copyto(f, mag)
-        np.negative(f, out=f, where=neg)
         # in-place inverse Lorenzo: per-chunk prefix sums along every chunk
         # axis.  np.cumsum runs a scalar carry loop, so when the slices
         # perpendicular to the axis are wide, an explicit add ladder over

@@ -32,6 +32,8 @@ __all__ = [
     "dequantize",
     "encode_sign_magnitude",
     "decode_sign_magnitude",
+    "encode_sign_magnitude_int16",
+    "decode_sign_magnitude_into",
     "encode_radius_shift",
     "decode_radius_shift",
     "dual_quantize",
@@ -45,6 +47,46 @@ __all__ = [
 SIGN_BIT = np.uint16(0x8000)
 #: Largest representable residual magnitude in 15 bits.
 MAX_MAGNITUDE = 0x7FFF
+
+
+def encode_sign_magnitude_int16(
+    x: np.ndarray, out: np.ndarray, mag: np.ndarray
+) -> np.ndarray:
+    """Branch-free sign-magnitude codes of clamped int16 residuals.
+
+    ``x`` holds two's-complement residuals with ``|x| <= MAX_MAGNITUDE``.
+    Bit 15 of such a value is set exactly when it is negative, so it *is*
+    :data:`SIGN_BIT` and the code is ``|x| | (x & 0x8000)``: no compare and
+    no masked store.  Writes the ``uint16`` codes into ``out``, which may
+    share ``x``'s memory; ``mag`` is a ``uint16`` buffer of ``x``'s shape.
+    Equal to :func:`encode_sign_magnitude` on every such input.
+    """
+    np.absolute(x, out=mag.view(np.int16))
+    np.bitwise_and(x.view(np.uint16), SIGN_BIT, out=out)
+    np.bitwise_or(out, mag, out=out)
+    return out
+
+
+def decode_sign_magnitude_into(
+    codes: np.ndarray, out: np.ndarray, sign: np.ndarray | None = None
+) -> np.ndarray:
+    """Branch-free signed values of sign-magnitude ``codes``, into ``out``.
+
+    Equal to ``where(codes & SIGN_BIT, -mag, mag)`` with
+    ``mag = codes & MAX_MAGNITUDE``, bit for bit.  An integer ``out`` takes
+    ``s = int16(code) >> 15`` (0 or -1) into the ``int16`` buffer ``sign``
+    and computes ``(mag ^ s) - s``; a float ``out`` takes ``copysign(mag,
+    int16(code))``, so code ``0x8000`` decodes to ``-0.0`` as ``-mag`` does.
+    """
+    np.bitwise_and(codes, np.uint16(MAX_MAGNITUDE), out=out)
+    signed = codes.view(np.int16)
+    if out.dtype.kind == "f":
+        np.copysign(out, signed, out=out)
+    else:
+        np.right_shift(signed, 15, out=sign)
+        np.bitwise_xor(out, sign, out=out)
+        np.subtract(out, sign, out=out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,14 @@ the vectorized fast path splits a pass's targets into at most four strided
 runs, one per prediction rule, and works on basic-slice views with pooled
 buffers.  Both apply the same float64 operations in the same order, so each
 target sees the same expression tree regardless of implementation —
-conformance is pinned by ``tests/test_planner.py``.
+conformance is pinned by ``tests/test_planner.py``.  The fast path handles
+the sign without masked ``where=`` ufuncs: it keeps the signed ``rint``
+residual ``t``, builds codes with the int16 ``|x| | (x & 0x8000)`` trick
+(:func:`~repro.core.quantize.encode_sign_magnitude_int16`) and
+reconstructs from ``t + 0.0``, which equals the reference's
+``where(neg, -mag, mag)`` bit for bit (``-0.0`` becomes ``+0.0``); decode
+reads the value as ``copysign(code & 0x7FFF, int16(code))``
+(:func:`~repro.core.quantize.decode_sign_magnitude_into`).
 """
 
 from __future__ import annotations
@@ -53,7 +60,13 @@ from repro.backends.fused import encode_tiles, join_tiles
 from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks
 from repro.core.format import MAX_ELEMENTS, implied_block_count
 from repro.core.pipeline import CompressionResult
-from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
+from repro.core.quantize import (
+    MAX_MAGNITUDE,
+    SIGN_BIT,
+    QuantizerStats,
+    decode_sign_magnitude_into,
+    encode_sign_magnitude_int16,
+)
 from repro.errors import ConfigError, DecompressionError, FormatError
 from repro.utils.pool import Scratch
 from repro.utils.safeio import BoundedReader
@@ -186,8 +199,8 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
     tgt = _axis_sel(nd, axis, slice(s, d, 2 * s))
     shape = rec[tgt].shape
     pred = scratch.take("fzin.pred", shape, np.float64)
-    # mag holds the cubic's (a + d) first, then the residuals
-    mag = scratch.take("fzin.mag", shape, np.float64)
+    # res holds the cubic's (a + d) first, then the signed residuals
+    res = scratch.take("fzin.res", shape, np.float64)
     for k0, k1 in ((0, min(n_r, 1)), (n_c, n_r)):  # linear head and tail
         if k0 < k1:
             p = pred[_axis_sel(nd, axis, slice(k0, k1))]
@@ -197,33 +210,36 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
         p = pred[_axis_sel(nd, axis, slice(1, n_c))]
         np.add(at(1, n_c, -s), at(1, n_c, s), out=p)
         np.multiply(p, 9.0, out=p)
-        ad = mag[_axis_sel(nd, axis, slice(1, n_c))]
+        ad = res[_axis_sel(nd, axis, slice(1, n_c))]
         np.add(at(1, n_c, -3 * s), at(1, n_c, 3 * s), out=ad)
         np.subtract(p, ad, out=p)
         np.divide(p, 16.0, out=p)
     if n_r < n_t:  # trailing target without a right neighbor
         np.copyto(pred[_axis_sel(nd, axis, slice(n_r, n_t))], at(n_r, n_t, -s))
     c = codes[tgt]
-    neg = scratch.take("fzin.neg", shape, bool)
     n_sat = max_abs = 0
     if encode:
-        np.subtract(src[tgt], pred, out=mag)
-        np.divide(mag, eb2, out=mag)
-        np.rint(mag, out=mag)
-        np.less(mag, 0.0, out=neg)
-        np.absolute(mag, out=mag)
-        max_abs = _max_abs(mag)
+        np.subtract(src[tgt], pred, out=res)
+        np.divide(res, eb2, out=res)
+        np.rint(res, out=res)
+        max_abs = _max_abs(max(res.max(), -res.min()))
         if max_abs > MAX_MAGNITUDE:  # rare: count and clamp saturated codes
-            n_sat = int(np.count_nonzero(mag > MAX_MAGNITUDE))
-            np.minimum(mag, float(MAX_MAGNITUDE), out=mag)
-        np.copyto(c, mag, casting="unsafe")
-        np.bitwise_or(c, SIGN_BIT, out=c, where=neg)
+            n_sat = int(np.count_nonzero(res > MAX_MAGNITUDE))
+            n_sat += int(np.count_nonzero(res < -MAX_MAGNITUDE))
+            np.clip(res, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=res)
+        # codes are built contiguous, then stored to the strided targets once
+        x = scratch.take("fzin.x16", shape, np.int16)
+        np.copyto(x, res, casting="unsafe")
+        encode_sign_magnitude_int16(
+            x, x.view(np.uint16), scratch.take("fzin.m16", shape, np.uint16)
+        )
+        np.copyto(c, x.view(np.uint16))
+        # -0.0 -> +0.0, as the reference's where(neg, -mag, mag) has it
+        np.add(res, 0.0, out=res)
     else:
-        np.bitwise_and(c, np.uint16(MAX_MAGNITUDE), out=mag)
-        np.greater_equal(c, SIGN_BIT, out=neg)
-    np.negative(mag, out=mag, where=neg)
-    np.multiply(mag, eb2, out=mag)
-    np.add(pred, mag, out=rec[tgt])
+        decode_sign_magnitude_into(c, res)
+    np.multiply(res, eb2, out=res)
+    np.add(pred, res, out=rec[tgt])
     return n_sat, max_abs
 
 

@@ -42,6 +42,20 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+@pytest.fixture(autouse=True)
+def _telemetry_disabled_after_test():
+    """Turn the default telemetry recorder off after every test.
+
+    Tests that enable it to read counters must not leave it recording for
+    later tests in the same process: the zero-allocation steady-state test
+    asserts it is off.
+    """
+    yield
+    from repro import telemetry
+
+    telemetry.disable()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for reproducible tests."""

@@ -268,6 +268,25 @@ def test_scratch_zero_allocation_steady_state(fields):
     assert not telem_allocs, telem_allocs
 
 
+def test_interp_scratch_zero_allocation_steady_state(fields):
+    """FZIN encode and decode stop growing one shared scratch once warm."""
+    from repro.planner.interp import interp_compress, interp_decompress
+
+    scratch = Scratch()
+    cases = []
+    for data in fields[1:3]:
+        stream = interp_compress(data, EB, scratch=scratch).stream
+        cases.append((data, stream, interp_decompress(stream, scratch=scratch)))
+    warm = scratch.n_allocations
+    for _ in range(3):
+        for data, stream, recon in cases:
+            assert interp_compress(data, EB, scratch=scratch).stream == stream
+            got = interp_decompress(stream, scratch=scratch)
+            assert np.array_equal(got.view(np.uint32), recon.view(np.uint32))
+    assert scratch.n_allocations == warm, "steady state still allocating"
+    assert scratch.n_requests > 0
+
+
 def test_buffer_pool_reuses_scratches(fields):
     pool = BufferPool()
     with Engine(jobs=1, buffer_pool=pool) as engine:
