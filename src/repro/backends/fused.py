@@ -6,8 +6,14 @@ round-trips through global memory (§3.3).  This backend reproduces that
 bandwidth argument on the CPU: instead of three full-array passes
 (``stage.quantize`` → ``stage.bitshuffle`` → ``stage.encode``, each
 streaming the whole field through memory), it processes the field in
-cache-sized *slabs* of whole Lorenzo chunk-rows and pushes each slab all
-the way to encoded output while it is still resident:
+cache-sized *slabs* and pushes each slab all the way to encoded output
+while it is still resident.  A slab is a run of whole Lorenzo chunk-rows
+or, when a single chunk-row holds more than twice
+:data:`TARGET_SLAB_CODES` codes (256x256 planes of 8x8x8 chunks hold
+512K), one chunk-row cut along axis 1 into blocks of whole chunk-columns:
+either way its chunk-major codes are one contiguous run of the stream, so
+slabs need no reordering.
+Per slab:
 
 1. pre-quantize the slab in float64 and take the per-chunk Lorenzo
    residuals **without materializing the int64 grid** — ``rint`` output is
@@ -15,16 +21,16 @@ the way to encoded output while it is still resident:
    while ``max |q| < 2**51``, so float64 subtraction commutes bit-for-bit
    with the reference's int64 pipeline (a guard falls back to the
    ``reference`` kernels for pathological ``data/eb`` ratios);
-2. sign-magnitude encode in int16 — a two's-complement int16 of a
+2. cast the residuals to int16 straight into chunk-major order and
+   sign-magnitude encode them there — a two's-complement int16 of a
    magnitude ≤ 0x7FFF has bit 15 set exactly when negative, i.e. the
    int16 bit pattern's top bit *is* the format's sign bit, collapsing the
    clamp/compare/mask sequence to ``|x| | (x & 0x8000)``
    (:func:`~repro.core.quantize.encode_sign_magnitude_int16`); a slab
    whose residuals saturate (checked per slab) is first counted and
    clamped to ±0x7FFF in float64;
-3. gather the slab's codes to chunk-major order and emit whole 32x32-bit
-   tiles through a pending-codes buffer (slab size need not divide the
-   2048-code tile);
+3. emit whole 32x32-bit tiles of the chunk-major codes through a
+   pending-codes buffer (slab size need not divide the 2048-code tile);
 4. bit-transpose each batch of tiles in *bit-plane-major* layout — all
    five masked-swap passes then run over long contiguous runs instead of
    the tile-major layout's stride-``j`` hops — and derive zero-block flags
@@ -39,11 +45,12 @@ CI.
 Decoding runs the same argument in reverse: instead of four staged
 full-array passes (zero-block scatter → bit un-transpose → sign-magnitude
 decode → inverse Lorenzo/dequant), :func:`_fused_decode_codes` walks the
-field in the encoder's slabs and, per slab, scatters only the needed
-tiles' literal blocks straight into the bit-plane-major layout, applies
-the masked-swap network once more (the transpose is an involution), and
-un-gathers chunk-major codes into an int32 slab that never leaves cache
-until the float32 rows are written out.  The sign-magnitude decode is
+field in slabs of whole chunk-rows (cutting wide chunk-rows into the
+encoder's chunk-column blocks measured no decode gain) and, per slab,
+scatters only the needed tiles' literal blocks straight into the
+bit-plane-major layout, applies the masked-swap network once more (the
+transpose is an involution), and un-gathers chunk-major codes into an
+int32 slab that is written out as float32 rows.  The sign-magnitude decode is
 branch-free (:func:`~repro.core.quantize.decode_sign_magnitude_into`):
 with ``s = int16(code) >> 15`` the value is ``((code & 0x7FFF) ^ s) - s``,
 three plain integer passes and no masked ``where=`` ufunc, whose
@@ -67,6 +74,7 @@ multiply-then-cast.  Decoded arrays are **bit-identical** to
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -96,9 +104,12 @@ __all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES"]
 #: Quantization codes per bitshuffle tile (2048 = 4 KiB of uint16).
 TILE_CODES = 2 * TILE_WORDS
 
-#: Aim for ~64K codes (128 KiB of uint16 + the float64 working set) per
-#: slab: big enough to amortize ufunc dispatch, small enough to stay
-#: L2-resident through all fused steps.
+#: Aim for ~64K codes per encoder slab (chunk-rows, or chunk-row x
+#: chunk-column blocks once a chunk-row exceeds twice this): two float64
+#: work buffers plus two uint16 ones, 1.25 MiB, big enough to amortize
+#: ufunc dispatch and small enough to stay in a 2 MiB per-core L2 through
+#: all fused steps.  The decoder's slabs are whole chunk-rows of this many
+#: codes or more.
 TARGET_SLAB_CODES = 1 << 16
 
 #: Residual magnitudes are exact in float64 subtraction only below this;
@@ -244,6 +255,32 @@ class TileDecoder:
         return cm32.reshape(-1).view(np.uint16)[lo - base : hi - base]
 
 
+def _encode_slab_shape(
+    padded: tuple[int, ...], chunk: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Extent of one encoder slab on the padded grid.
+
+    A slab is a chunk-aligned box whose chunk-major codes are one
+    contiguous run of the stream: whole chunk-rows, or, when one chunk-row
+    holds more than twice :data:`TARGET_SLAB_CODES` codes, one chunk-row
+    cut along axis 1 into blocks of whole chunk-columns of about the
+    target each (the last block along each axis may be clipped shorter by
+    the grid).  Every block pays a fixed dispatch cost of ~80 NumPy calls,
+    so a chunk-row of up to twice the target encodes faster whole (128x128
+    and 128x96 planes of 8x8x8 chunks: 5-7% faster than as two blocks),
+    while a 512K-code chunk-row of 256x256 planes encodes ~30% faster as
+    64K-code blocks.
+    """
+    c0 = chunk[0]
+    row_codes = c0 * math.prod(padded[1:])
+    if len(padded) == 1 or row_codes <= 2 * TARGET_SLAB_CODES:
+        rows = max(1, TARGET_SLAB_CODES // row_codes) * c0
+        return (min(rows, padded[0]),) + padded[1:]
+    col_codes = row_codes // (padded[1] // chunk[1])
+    cols = max(1, TARGET_SLAB_CODES // col_codes) * chunk[1]
+    return (c0, min(cols, padded[1])) + padded[2:]
+
+
 def _fused_encode_codes(
     data: np.ndarray,
     eb_abs: float,
@@ -254,17 +291,16 @@ def _fused_encode_codes(
     nd = data.ndim
     shape = data.shape
     padded = tuple(-(-s // c) * c for s, c in zip(shape, chunk))
-    inner = shape[1:]
-    inner_p = padded[1:]
-    inner_n = math.prod(inner_p)
-    c0 = chunk[0]
-    slab_rows = max(1, TARGET_SLAB_CODES // (c0 * inner_n)) * c0
-    slab_rows = min(slab_rows, padded[0])
+    slab = _encode_slab_shape(padded, chunk)
+    slab_n = math.prod(slab)
     inv = np.float64(2.0 * eb_abs)
 
-    fbuf = scratch.take("fz.f64a", (slab_rows,) + inner_p, np.float64)
-    dbuf = scratch.take("fz.f64b", (slab_rows,) + inner_p, np.float64)
-    codes_rm = scratch.take("fz.c16", (slab_rows,) + inner_p, np.uint16)
+    # every buffer is sized for a full slab; a clipped slab takes a
+    # contiguous prefix, so a ragged last block allocates nothing
+    fbuf = scratch.take("fz.f64a", (slab_n,), np.float64)
+    dbuf = scratch.take("fz.f64b", (slab_n,), np.float64)
+    cbuf = scratch.take("fz.c16", (slab_n,), np.uint16)
+    mbuf = scratch.take("fz.m16", (slab_n,), np.uint16)
     pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
     n_pend = 0
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -295,74 +331,79 @@ def _fused_encode_codes(
             pend[: rest.size] = rest
             n_pend = rest.size
 
-    for a in range(0, padded[0], slab_rows):
-        b = min(a + slab_rows, padded[0])
-        rows = b - a
-        real = max(0, min(shape[0], b) - a)
-        f = fbuf[:rows]
-        if real < rows:
-            f[real:] = 0.0
-        if real:
-            for k in range(1, nd):
-                if padded[k] != shape[k]:
-                    sl = [slice(0, real)] + [slice(None)] * (nd - 1)
-                    sl[k] = slice(shape[k], None)
-                    f[tuple(sl)] = 0.0
-            interior = (slice(0, real),) + tuple(slice(0, s) for s in inner)
-            np.divide(data[a : a + real], inv, out=f[interior])
+    # chunk-major gather: (g0, c0, g1, c1[, g2, c2]) ->
+    #                     (g0, g1[, g2], c0, c1[, c2])
+    perm = (
+        (0,)
+        + tuple(range(2, 2 * nd, 2))
+        + (1,)
+        + tuple(range(3, 2 * nd + 1, 2))
+    )
+    # slabs in stream order: row-major over slab origins, so the blocks of
+    # one chunk-row follow each other along axis 1
+    for origin in itertools.product(
+        *(range(0, p, s) for p, s in zip(padded, slab))
+    ):
+        dims = tuple(min(s, p - o) for s, p, o in zip(slab, padded, origin))
+        # origins are chunk multiples below the padded extent, hence below
+        # the field's: every slab holds at least one real element per axis
+        real = tuple(min(d, s - o) for d, s, o in zip(dims, shape, origin))
+        n = math.prod(dims)
+        f = fbuf[:n].reshape(dims)
+        # zero the chunk padding: the part of the slab past the field's
+        # extent along axis k, within the real extent of axes < k
+        for k in range(nd):
+            if real[k] < dims[k]:
+                pad = tuple(slice(0, r) for r in real[:k])
+                f[pad + (slice(real[k], None),)] = 0.0
+        np.divide(
+            data[tuple(slice(o, o + r) for o, r in zip(origin, real))],
+            inv,
+            out=f[tuple(slice(0, r) for r in real)],
+        )
         np.rint(f, out=f)
-        if real and max(float(f.max()), -float(f.min())) >= _EXACT_LIMIT:
+        if max(float(f.max()), -float(f.min())) >= _EXACT_LIMIT:
             raise _NeedsExactPath
         # per-chunk Lorenzo residuals: prepend-0 diff along every axis,
-        # restarting at chunk boundaries (the strided writeback); diff
-        # axes commute, ping-ponging between the two float64 buffers
-        src, dst = f, dbuf[:rows]
+        # restarting at chunk boundaries (the strided writeback; slab
+        # origins are chunk-aligned); diff axes commute, ping-ponging
+        # between the two float64 buffers.  Each diff runs over the flat
+        # slab at axis k's stride, one long contiguous loop (along the
+        # last axis ~2.5x faster than the n-D slices): it crosses a row
+        # only where axis k's index is 0, a chunk start the writeback
+        # overwrites
+        src, dst = f, dbuf[:n].reshape(dims)
+        stride = 1
         for k in range(nd - 1, -1, -1):
-            hi = [slice(None)] * nd
-            hi[k] = slice(1, None)
-            lo = [slice(None)] * nd
-            lo[k] = slice(None, -1)
-            np.subtract(src[tuple(hi)], src[tuple(lo)], out=dst[tuple(hi)])
+            s1, d1 = src.reshape(-1), dst.reshape(-1)
+            np.subtract(s1[stride:], s1[:-stride], out=d1[stride:])
             starts = [slice(None)] * nd
             starts[k] = slice(None, None, chunk[k])
             dst[tuple(starts)] = src[tuple(starts)]
             src, dst = dst, src
+            stride *= dims[k]
         delta = src
-        slab_max = float(max(delta.max(), -delta.min())) if rows else 0.0
+        slab_max = float(max(delta.max(), -delta.min()))
         max_abs = max(max_abs, int(slab_max))
         if slab_max > MAX_MAGNITUDE:
             # rare saturating slab: count, then clamp in float64 exactly as
             # reference clamps the magnitude
             np.absolute(delta, out=dst)
-            mask = scratch.take("fz.mask", (rows,) + inner_p, bool)
+            mask = scratch.take("fz.mask", dims, bool)
             np.greater(dst, MAX_MAGNITUDE, out=mask)
             n_sat += int(np.count_nonzero(mask))
             np.clip(delta, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=delta)
-        # |delta| <= 0x7FFF now fits int16 exactly
-        cr = codes_rm[:rows]
-        xi = cr.view(np.int16)
-        np.copyto(xi, delta, casting="unsafe")
-        mg16 = scratch.take("fz.m16", (rows,) + inner_p, np.uint16)
-        encode_sign_magnitude_int16(xi, cr, mg16)
-        if nd == 1:
-            flush_tiles(cr)  # 1-D chunk-major order is row-major order
-            continue
-        # chunk-major gather: (g, c0, n1, c1[, n2, c2]) ->
-        #                     (g, n1[, n2], c0, c1[, c2])
-        g_rows = rows // c0
-        grid = tuple(p // c for p, c in zip(inner_p, chunk[1:]))
-        view_shape = (g_rows, c0)
-        for n, c in zip(grid, chunk[1:]):
-            view_shape += (n, c)
-        perm = (
-            (0,)
-            + tuple(range(2, 2 * nd, 2))
-            + (1,)
-            + tuple(range(3, 2 * nd + 1, 2))
-        )
-        cm = scratch.take("fz.cm", (rows * inner_n,), np.uint16)
-        view = cr.reshape(view_shape).transpose(perm)
-        np.copyto(cm.reshape(view.shape), view)
+        # |delta| <= 0x7FFF now fits int16 exactly: cast it straight into
+        # chunk-major order (1-D's order is row-major already), then
+        # sign-magnitude encode in place
+        view_shape: tuple[int, ...] = ()
+        for d, c in zip(dims, chunk):
+            view_shape += (d // c, c)
+        view = delta.reshape(view_shape).transpose(perm)
+        cm = cbuf[:n]
+        xi = cm.view(np.int16)
+        np.copyto(xi.reshape(view.shape), view, casting="unsafe")
+        encode_sign_magnitude_int16(xi, cm, mbuf[:n])
         flush_tiles(cm)
 
     if n_pend:

@@ -23,6 +23,7 @@ from repro.backends import available_backends, fused, get_backend, resolve_backe
 from repro.backends.reference import ReferenceBackend
 from repro.core.pipeline import FZGPU
 from repro.errors import ConfigError, DecompressionError
+from repro.utils.chunking import chunk_shape_for
 
 BACKENDS = available_backends()
 
@@ -200,6 +201,36 @@ def test_cross_backend_fast(enc, dec, shape):
     assert np.array_equal(got, ref), (
         f"decode backend {dec} diverged on a stream encoded by {enc}"
     )
+
+
+# (shape, slab the fused encoder walks): chunk-rows of more than twice
+# TARGET_SLAB_CODES are cut into blocks of whole chunk-columns, with ragged
+# last blocks and chunk-padded columns inside them; the others keep whole
+# chunk-row slabs
+BLOCKED_ENCODE_CASES = [
+    ((16, 256, 256), (8, 32, 256)),
+    ((16, 250, 250), (8, 32, 256)),
+    ((9, 300, 97), (8, 72, 104)),
+    ((24, 128, 96), (8, 128, 96)),  # 1.5x the target: one chunk-row slab
+    ((3, 513, 130), (8, 56, 136)),
+    ((20, 33, 700), (8, 8, 704)),
+    ((17, 70000), (16, 4096)),
+    ((40, 8200), (16, 4096)),   # 16 x 8208 codes: just over twice the target
+    ((40, 4100), (16, 4112)),   # just over the target: one chunk-row slab
+    ((40, 4096), (16, 4096)),
+    ((100000,), (65536,)),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, slab", BLOCKED_ENCODE_CASES, ids=[str(s) for s, _ in BLOCKED_ENCODE_CASES]
+)
+def test_conformance_blocked_encode(shape, slab):
+    """Chunk-column blocks emit reference's bytes, stats and decode."""
+    chunk = chunk_shape_for(len(shape))
+    padded = tuple(-(-s // c) * c for s, c in zip(shape, chunk))
+    assert fused._encode_slab_shape(padded, chunk) == slab
+    assert_conformant("fused", make_field(shape, "smooth"), 1e-3, "rel")
 
 
 @pytest.mark.slow

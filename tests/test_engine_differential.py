@@ -268,6 +268,44 @@ def test_scratch_zero_allocation_steady_state(fields):
     assert not telem_allocs, telem_allocs
 
 
+def _wide_planes(shape: tuple[int, ...]) -> np.ndarray:
+    """A smooth field whose chunk-rows the fused encoder cuts into blocks."""
+    rng = np.random.default_rng(256)
+    return np.cumsum(rng.standard_normal(shape), axis=2).astype(np.float32)
+
+
+def test_scratch_footprint_blocked_encode():
+    """Encoder slabs are cache-sized even when one chunk-row is not.
+
+    One 8-row chunk-row of 256x256 planes holds 512K codes; whole-row slabs
+    took 12.8 MiB of scratch for this field, chunk-column blocks ~1.5 MiB.
+    """
+    scratch = Scratch()
+    FZGPU().compress(_wide_planes((16, 256, 256)), EB, "rel", scratch=scratch)
+    assert scratch.nbytes <= 3 * 2**20, scratch.nbytes
+
+
+def test_scratch_zero_allocation_steady_state_ragged_blocks():
+    """A ragged last block reuses the full block's buffers.
+
+    (9, 300, 97) pads to (16, 304, 104) and encodes as (8, 72, 104)
+    blocks; the last block of each chunk-row is clipped to the 16 padded
+    columns [288, 304), 12 of them real, and must take a prefix of the
+    full-size scratch.
+    """
+    fz = FZGPU()
+    scratch = Scratch()
+    data = _wide_planes((9, 300, 97))
+    stream = fz.compress(data, EB, "rel", scratch=scratch).stream
+    recon = fz.decompress(stream, scratch=scratch)
+    warm = scratch.n_allocations
+    for _ in range(3):
+        assert fz.compress(data, EB, "rel", scratch=scratch).stream == stream
+        got = fz.decompress(stream, scratch=scratch)
+        assert np.array_equal(got.view(np.uint32), recon.view(np.uint32))
+    assert scratch.n_allocations == warm, "steady state still allocating"
+
+
 def test_interp_scratch_zero_allocation_steady_state(fields):
     """FZIN encode and decode stop growing one shared scratch once warm."""
     from repro.planner.interp import interp_compress, interp_decompress

@@ -18,7 +18,9 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.backends import fused
 from repro.backends.fused import TILE_CODES, encode_tiles, join_tiles
+from repro.backends.reference import ReferenceBackend
 from repro.core.pipeline import FZGPU
 from repro.core.quantize import (
     MAX_MAGNITUDE,
@@ -151,7 +153,10 @@ def test_fzin_negative_zero_code_decodes_identically():
 # ---------------------------------------------------------------------------
 
 
-def _spiky_field() -> tuple[np.ndarray, float, list[tuple[int, ...]]]:
+def _spiky_field(
+    shape: tuple[int, ...] = (96, 40, 40),
+    spikes: tuple[tuple[int, ...], ...] = ((48, 24, 8), (50, 21, 13)),
+) -> tuple[np.ndarray, float, list[tuple[int, ...]]]:
     """A smooth 3-D field with two 1e6-quanta spikes, and its tight eb.
 
     (96, 40, 40) spans three fused slabs of 40 chunk rows, so the spiked
@@ -160,12 +165,12 @@ def _spiky_field() -> tuple[np.ndarray, float, list[tuple[int, ...]]]:
     both signs; both sit on non-anchor points of the FZIN stride-16 grid.
     """
     rng = np.random.default_rng(1_000_000)
-    data = rng.standard_normal((96, 40, 40))
+    data = rng.standard_normal(shape)
     for axis in range(3):
         data = np.cumsum(data, axis=axis)
     data /= np.abs(data).max()
     eb = 1e-5
-    spikes = [(48, 24, 8), (50, 21, 13)]
+    spikes = list(spikes)
     for spike, sign in zip(spikes, (1, -1)):
         data[spike] += sign * 1e6 * 2 * eb
     return data.astype(np.float32), eb, spikes
@@ -199,6 +204,47 @@ def test_spiky_field_saturates_fzin_like_reference():
     dec_ref = interp_decompress(ref.stream, impl="reference")
     dec_vec = interp_decompress(ref.stream, impl="vectorized")
     assert np.array_equal(dec_ref.view(np.uint32), dec_vec.view(np.uint32))
+
+
+#: (16, 300, 97) pads to (16, 304, 104) and encodes as chunk-row x
+#: chunk-column blocks of (8, 72, 104) codes.  Both spikes sit in the second
+#: chunk-row: one in the middle block of columns [144, 216), one in the
+#: ragged last block [288, 304), whose columns past 300 are chunk padding.
+BLOCKED_SHAPE = (16, 300, 97)
+BLOCKED_SPIKES = ((10, 150, 50), (12, 293, 60))
+
+
+def test_saturation_inside_chunk_column_blocks():
+    data, eb, _ = _spiky_field(BLOCKED_SHAPE, BLOCKED_SPIKES)
+    assert fused._encode_slab_shape((16, 304, 104), (8, 8, 8)) == (8, 72, 104)
+    ref = FZGPU(backend="reference").compress(data, eb, "abs")
+    got = FZGPU(backend="fused").compress(data, eb, "abs")
+    # fused counts saturated codes only in its saturating-slab branch, so
+    # this proves the branch ran inside the two non-first blocks
+    assert got.quantizer.n_saturated >= 2
+    assert got.quantizer.n_saturated == ref.quantizer.n_saturated
+    assert got.stream == ref.stream
+    assert got.quantizer == ref.quantizer
+
+
+def test_exact_fallback_from_ragged_last_block(monkeypatch):
+    """A quantum >= 2**51 in the last block reruns the field on reference."""
+    calls = []
+
+    class Spy(ReferenceBackend):
+        def encode(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return super().encode(*args, **kwargs)
+
+    data, eb, _ = _spiky_field(BLOCKED_SHAPE, BLOCKED_SPIKES)
+    data[12, 298, 90] = 1e11
+    assert 1e11 / (2 * eb) >= 2**51
+    monkeypatch.setattr(fused, "_EXACT", Spy())
+    got = FZGPU(backend="fused").compress(data, eb, "abs")
+    assert calls == [BLOCKED_SHAPE]
+    ref = FZGPU(backend="reference").compress(data, eb, "abs")
+    assert got.stream == ref.stream
+    assert got.quantizer == ref.quantizer
 
 
 # ---------------------------------------------------------------------------
