@@ -16,7 +16,8 @@ def test_cpu_comparison(benchmark, record_result):
     res = run_once(benchmark, lambda: run_experiment("cpu"))
     table = render_table(
         res.rows,
-        columns=["dataset", "fz_gpu_gbps", "fz_omp_gbps", "sz_omp_gbps", "gpu_speedup", "omp_speedup_vs_sz"],
+        columns=["dataset", "threads", "fz_gpu_gbps", "fz_omp_gbps", "sz_omp_gbps",
+                 "fz_cpu_measured_gbps", "gpu_speedup", "omp_speedup_vs_sz"],
         title=res.title,
     )
     record_result("cpu", table + checks_block(res))

@@ -131,7 +131,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             row["time_pct"] = f"{row['time_pct']:.1f}"
         print(render_table(rows, title="per-stage breakdown (Fig. 1 view)"))
     else:
-        print("no stage.* / sim.* spans in this trace")
+        print("no stage.* spans in this trace")
     brows = stats.backend_breakdown(events)
     if brows:
         for row in brows:

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 #: Span-name prefixes that count as pipeline stages in the breakdown.
-STAGE_PREFIXES = ("stage.", "sim.")
+STAGE_PREFIXES = ("stage.",)
 
 
 def load_trace(source: str | pathlib.Path | IO[str]) -> list[dict]:

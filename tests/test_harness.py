@@ -116,6 +116,13 @@ class TestCPU:
         res = run_experiment("cpu", datasets=["hurricane", "nyx"], eb=1e-3)
         assert res.all_checks_pass, res.checks
 
+    def test_scaling_rows(self):
+        res = run_experiment("cpu", datasets=["cesm"])
+        scaling = [r for r in res.rows if r["dataset"] == "scaling"]
+        assert tuple(r["threads"] for r in scaling) == (1, 2, 4, 8, 16, 32, 64)
+        gbps = [r["fz_omp_gbps"] for r in scaling]
+        assert all(a <= b for a, b in zip(gbps, gbps[1:]))
+
 
 class TestRenderTable:
     def test_renders(self):

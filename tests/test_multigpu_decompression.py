@@ -1,4 +1,4 @@
-"""Tests for the multi-GPU scaling and decompression performance models."""
+"""Tests for the decompression performance model."""
 
 from __future__ import annotations
 
@@ -14,51 +14,6 @@ from repro.perf.decompression import (
     cusz_decompression_profiles,
     fzgpu_decompression_profiles,
 )
-from repro.perf.multigpu import (
-    PCIE_SWITCH_GBPS,
-    interconnect_share,
-    multi_gpu_throughput,
-)
-
-
-class TestInterconnectShare:
-    def test_single_gpu_full_lanes(self):
-        assert interconnect_share(1) == 32.0
-
-    def test_four_gpus_match_paper_measurement(self):
-        """§4.6: ~11.4 GB/s per GPU when all four transfer at once."""
-        assert interconnect_share(4) == pytest.approx(PCIE_SWITCH_GBPS / 4)
-        assert interconnect_share(4) == pytest.approx(11.25, abs=0.3)
-
-    def test_monotone_decrease(self):
-        shares = [interconnect_share(n) for n in range(1, 9)]
-        assert all(a >= b for a, b in zip(shares, shares[1:]))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            interconnect_share(0)
-
-
-class TestMultiGPU:
-    def test_aggregate_grows_with_gpus(self):
-        reports = [multi_gpu_throughput(100.0, 10.0, n) for n in (1, 2, 4)]
-        overall = [r.aggregate_overall_gbps for r in reports]
-        assert overall[0] < overall[1] < overall[2]
-
-    def test_scaling_below_perfect_due_to_switch(self):
-        r = multi_gpu_throughput(100.0, 4.0, 4)
-        assert r.scaling_efficiency < 1.0
-
-    def test_high_ratio_restores_scaling(self):
-        """Strong compression shrinks transfers: contention stops mattering."""
-        low = multi_gpu_throughput(100.0, 2.0, 4).scaling_efficiency
-        high = multi_gpu_throughput(100.0, 100.0, 4).scaling_efficiency
-        assert high > low
-        assert high > 0.9
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            multi_gpu_throughput(0.0, 1.0, 2)
 
 
 class TestDecompressionModel:
