@@ -4,19 +4,23 @@ The process pool's historical handicap is serialization: every input field
 and output stream crossed the pool boundary as a pickle.  The shm transport
 replaces that with ``(segment, offset, shape, dtype)`` descriptors — workers
 attach the parent's shared-memory blocks and the only bytes that move
-through the executor are tuple-sized.  This bench compresses the same
-large-field batch three ways:
+through the executor are tuple-sized; decoded fields come back as views of
+their output block.  This bench compresses the same large-field batch, and
+then decompresses its streams, three ways:
 
 * thread pool (the in-process ceiling: zero serialization),
 * process pool with ``transport="pickle"`` (the old data plane),
 * process pool with ``transport="shm"`` (the new one),
 
-checks all three produce byte-identical streams and times them interleaved
-under the shared gate (``gate.py``).  The acceptance floor: shm
-process-pool throughput stays above ``1/1.2`` of the thread pool's on the
-same batch (the data plane is no longer allowed to be the bottleneck).
-``shm_vs_pickle`` is recorded with its spread but not gated.  Regenerate
-the baseline after an intentional perf change:
+checks all three produce byte-identical streams and decoded arrays, and
+times each leg interleaved under the shared gate (``gate.py``).  The
+acceptance floor: shm process-pool compress throughput stays above
+``1/1.2`` of the thread pool's on the same batch (the data plane is no
+longer allowed to be the bottleneck).  ``shm_vs_pickle`` and the decode
+leg's ratios are recorded with their spread but not gated.  The
+``arena_steady`` check requires that the timed rounds create no
+shared-memory segment.  Regenerate the baseline after an intentional perf
+change:
 
     REPRO_UPDATE_BENCH=1 python -m pytest benchmarks/bench_shm.py -q
 """
@@ -61,14 +65,29 @@ def _measure():
         # the untimed first batch also warms every pool and arena
         streams = {k: [r.stream for r in e.compress_batch(fields, EB, "rel")]
                    for k, e in engines.items()}
+        decoded = {k: e.decompress_batch(streams[k]) for k, e in engines.items()}
+        decoded_identical = all(
+            a.tobytes() == b.tobytes() == c.tobytes()
+            for a, b, c in zip(*decoded.values())
+        )
+        del decoded  # shm results hold their blocks until dropped
+        arena = engines["shm"].shared_arena()
+        created = arena.n_created
         times = gate.interleave({
             k: lambda e=e: e.compress_batch(fields, EB, "rel")
             for k, e in engines.items()
         })
+        dtimes = gate.interleave({
+            k: lambda e=e, s=streams[k]: e.decompress_batch(s)
+            for k, e in engines.items()
+        })
+        arena_steady = arena.n_created == created
     claims = [gate.Claim("shm_vs_thread", **gate.ratio(times, "thread", "shm"),
                          floor=1.0 / OVERHEAD_CEILING)]
     checks = {
-        "byte_identical": streams["thread"] == streams["pickle"] == streams["shm"]
+        "byte_identical": streams["thread"] == streams["pickle"] == streams["shm"],
+        "decoded_identical": decoded_identical,
+        "arena_steady": arena_steady,
     }
     return claims, checks, {
         "fields": N_FIELDS,
@@ -77,6 +96,11 @@ def _measure():
         "jobs": JOBS,
         "ms": gate.best_ms(times),
         "shm_vs_pickle": gate.ratio(times, "pickle", "shm"),
+        "decode": {
+            "ms": gate.best_ms(dtimes),
+            "shm_vs_pickle": gate.ratio(dtimes, "pickle", "shm"),
+            "shm_vs_thread": gate.ratio(dtimes, "thread", "shm"),
+        },
     }
 
 

@@ -447,6 +447,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import contextlib
+    import signal
 
     from repro import telemetry
     from repro.serve import App, ServeConfig, Server
@@ -474,6 +476,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         while server.address is None and not task.done():
             await asyncio.sleep(0.01)
         if server.address is not None:
+            # SIGTERM stops the server like Ctrl-C does, so engine.close()
+            # below still unlinks the shared-memory arena
+            with contextlib.suppress(NotImplementedError):  # Windows loops
+                asyncio.get_running_loop().add_signal_handler(
+                    signal.SIGTERM, server.stop
+                )
             host, port = server.address
             print(f"repro serve listening on http://{host}:{port} "
                   f"(pool={engine.pool_kind} jobs={engine.jobs})")

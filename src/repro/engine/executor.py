@@ -417,6 +417,12 @@ class _ShmLedger:
         entry = self._entries.get(index)
         return entry[1] if entry else None
 
+    def hand_off(self, index: int) -> ShmBlock:
+        """Drop the claim on ``index``'s output block and return it."""
+        inputs, out, shape = self._entries[index]
+        self._entries[index] = (inputs, None, shape)
+        return out
+
     def shape(self, index: int) -> tuple[int, ...] | None:
         entry = self._entries.get(index)
         return entry[2] if entry else None
@@ -974,7 +980,10 @@ class Engine:
         descriptors, and the worker writes its result into a leased output
         block; an item that cannot be staged ships pickled instead, within
         the same call.  Every block stays leased until its result slot is
-        consumed (:class:`_ShmLedger`).
+        consumed (:class:`_ShmLedger`); a decoded field that fills at least
+        half its output block is yielded as the :class:`ShmArray` view of
+        that block, which then holds it until the array and its views are
+        gone.
         """
         shm = self._use_shm()
         ledger = _ShmLedger()
@@ -1011,12 +1020,20 @@ class Engine:
         try:
             results = self._run_ordered(staged(), on_error=on_error)
             for index, res in enumerate(results):
-                # copy whatever must outlive the lease before the blocks go
-                # back to the free list; a timed-out worker may still be
-                # mid-write, so its output block is retired, not recycled
+                # a decoded field that fills at least half its output block
+                # is that block: the array takes the lease over.  A smaller
+                # field (it would pin up to 1 MiB for a few KB) and a stream
+                # are copied out before the block goes back to the free
+                # list.  A timed-out worker may still be mid-write, so its
+                # output block is retired, not recycled
                 if isinstance(res, _ShmRef):
-                    view = ledger.out(index).asarray(ledger.shape(index), np.float32)
-                    res = np.array(view, copy=True, subok=False)
+                    out, shape = ledger.out(index), ledger.shape(index)
+                    if 2 * res.nbytes >= out.capacity:
+                        res = ledger.hand_off(index).adopt(shape, np.float32)
+                    else:
+                        res = np.array(
+                            out.asarray(shape, np.float32), copy=True, subok=False
+                        )
                 elif isinstance(getattr(res, "stream", None), _ShmRef):
                     stream = bytes(ledger.out(index).view(res.stream.nbytes))
                     res = replace(res, stream=stream)
@@ -1069,7 +1086,10 @@ class Engine:
 
         Streams from any plan are accepted — decoding dispatches on each
         stream's magic (``FZGP``/``FZIN``/``FZCN``), so mixed batches work.
-        ``on_error`` behaves as in :meth:`compress_batch`.
+        ``on_error`` behaves as in :meth:`compress_batch`.  On a process
+        pool with the shm transport an array that fills at least half of
+        the shared-memory block it was decoded into is a :class:`ShmArray`
+        view of that block; smaller ones are copied out (``docs/API.md``).
         """
         streams = list(streams)
         with telemetry.span("engine.decompress_batch") as sp:

@@ -18,8 +18,10 @@ tasks).
 :class:`SharedArena` is the cross-*process* analogue: a refcount-leased pool
 of named ``multiprocessing.shared_memory`` segments.  The engine's
 ``transport="shm"`` data plane leases blocks from it, hands workers
-:class:`ShmDescriptor` tuples instead of pickled ndarrays, and unlinks every
-segment deterministically — the lifecycle rules are spelled out on the class.
+:class:`ShmDescriptor` tuples instead of pickled ndarrays, hands large
+decoded fields back as :class:`ShmArray` views of their output block, and
+unlinks every segment deterministically — the lifecycle rules are spelled
+out on the class.
 
 Pooled code paths are required to be *bit-identical* to the unpooled
 reference paths — `tests/test_engine_differential.py` and
@@ -34,6 +36,8 @@ import math
 import mmap as _mmap_mod
 import os
 import threading
+import weakref
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -210,12 +214,9 @@ except ImportError:  # pragma: no cover - exotic platforms
 _SHM_PROBED: bool | None = None
 
 #: Smallest block the arena creates; requests are rounded up to a power of
-#: two at least this large so the free list stays reusable across the small
-#: size jitter between chunks.
+#: two at least this large (the block's size class) so the free lists stay
+#: reusable across the small size jitter between chunks.
 MIN_SHM_BLOCK = 1 << 20
-
-#: Free blocks retained per arena before extras are unlinked eagerly.
-MAX_IDLE_SHM_BLOCKS = 8
 
 
 def shm_available() -> bool:
@@ -241,6 +242,9 @@ class ShmArray(np.ndarray):
     Views and row slices keep the ``shm_block`` reference, which is what
     lets the engine turn ``data[a:b]`` chunk spans of a shared-memory
     resident field into :class:`ShmDescriptor` tasks without copying.
+    Process-pool decodes on the shm transport return these for fields
+    that fill at least half their block: such an array owns its block's
+    lease (:meth:`ShmBlock.adopt`).
     """
 
     def __array_finalize__(self, obj) -> None:
@@ -353,7 +357,8 @@ class ShmBlock:
     never unlink.  ``retain``/``release`` bracket every use — the engine
     retains once per in-flight task touching the block and releases when
     the task's result has been consumed (or the task was quarantined), at
-    which point the block returns to the arena free list.
+    which point the block returns to its size class's free list.  A decode
+    output block is instead handed to the result array (:meth:`adopt`).
     """
 
     __slots__ = ("arena", "shm", "capacity", "refs", "base_addr")
@@ -403,6 +408,22 @@ class ShmBlock:
         arr.shm_block = self
         return arr
 
+    def adopt(self, shape: tuple[int, ...], dtype) -> ShmArray:
+        """Hand the caller's reference to a new :class:`ShmArray` view.
+
+        The block goes back to its arena once that array and every view of
+        it are gone.  NumPy collapses any view's ``base`` chain onto the
+        first array whose own base is not an array — here the
+        ``frombuffer`` array over the segment — so a finalizer on that root
+        outlives every view, whatever its array type.
+        """
+        arr = self.asarray(shape, dtype)
+        root = arr
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        weakref.finalize(root, self.arena._release_later, self)
+        return arr
+
     def descriptor(
         self, shape: tuple[int, ...], dtype, offset: int = 0, writable: bool = False
     ) -> ShmDescriptor:
@@ -428,34 +449,43 @@ class SharedArena:
 
     Lifecycle rules (enforced by ``tests/test_engine_shm.py``):
 
-    * ``lease(nbytes)`` hands out a block with at least that capacity,
-      reusing a free block when one fits (sizes are rounded up to powers of
-      two ≥ :data:`MIN_SHM_BLOCK` so the free list actually hits).
+    * ``lease(nbytes)`` rounds the request up to its size class — a power
+      of two ≥ :data:`MIN_SHM_BLOCK` — and reuses an idle block of exactly
+      that class; only an empty class free list creates a segment.
     * every additional user of a leased block calls ``retain()``; each
-      ``release()`` drops one reference, and the last one returns the block
-      to the free list — or unlinks it when more than
-      :data:`MAX_IDLE_SHM_BLOCKS` are already idle.
+      ``release()`` drops one reference, and the last one puts the block
+      back on its class's free list.  Nothing is unlinked on release: a
+      class creates a segment only when its list is empty, so the blocks
+      it keeps never outnumber the most it had leased at once.  A workload
+      that repeats therefore reaches a steady state that creates no
+      segment, at the memory of its own peak working set.
+    * a block handed to an array (:meth:`ShmBlock.adopt`) is released by a
+      ``weakref.finalize`` once the array and its views are gone.  That
+      can run on any thread at any garbage-collection point — including
+      inside this arena's own locked sections — so it never takes the
+      lock: it queues the block, and the next lease or release files it.
+      The engine adopts only blocks a decoded field fills at least half
+      of, so held results never pin much more memory than they hold.
     * ``close()`` unlinks **everything** the arena ever created, leased or
-      idle.  The engine calls it from ``close()``/``__exit__`` and an
-      ``atexit`` hook, so a crash-, timeout- or quarantine-interrupted run
-      still leaves ``/dev/shm`` empty and the resource tracker silent.
+      idle, and makes every later release a no-op.  The engine calls it
+      from ``close()``/``__exit__`` and an ``atexit`` hook, so a crash-,
+      timeout- or quarantine-interrupted run still leaves ``/dev/shm``
+      empty and the resource tracker silent.  Arrays that still view a
+      block stay readable: the mapping outlives the name.
     """
 
-    def __init__(
-        self,
-        min_block_bytes: int = MIN_SHM_BLOCK,
-        max_idle_blocks: int = MAX_IDLE_SHM_BLOCKS,
-    ) -> None:
+    def __init__(self) -> None:
         if _shared_memory is None or not shm_available():
             raise ConfigError(
                 "shared memory is not available on this platform "
                 "(use transport='pickle')"
             )
         self._lock = threading.Lock()
-        self._free: list[ShmBlock] = []
+        #: size class (block capacity) -> idle blocks of that class
+        self._free: dict[int, list[ShmBlock]] = {}
         self._live: set[ShmBlock] = set()
-        self._min_block = int(min_block_bytes)
-        self._max_idle = int(max_idle_blocks)
+        # blocks whose adopting array died, filed under the lock later
+        self._orphans: deque[ShmBlock] = deque()
         self._closed = False
         #: Total block creations (shared-memory growth events).
         self.n_created = 0
@@ -468,64 +498,86 @@ class SharedArena:
 
     # -- leasing -----------------------------------------------------------
 
-    def _block_size(self, nbytes: int) -> int:
-        size = max(self._min_block, 1)
+    @staticmethod
+    def _block_size(nbytes: int) -> int:
+        size = MIN_SHM_BLOCK
         while size < nbytes:
             size *= 2
         return size
 
     def lease(self, nbytes: int) -> ShmBlock:
         """Check out a block with capacity >= ``nbytes`` (refcount 1)."""
-        nbytes = int(nbytes)
+        size = self._block_size(int(nbytes))
         with self._lock:
             if self._closed:
                 raise ConfigError("SharedArena is closed")
+            self._file_orphans()
             self.n_leases += 1
-            best = None
-            for block in self._free:
-                if block.capacity >= nbytes and (
-                    best is None or block.capacity < best.capacity
-                ):
-                    best = block
-            if best is not None:
-                self._free.remove(best)
-                best.refs = 1
-                telemetry.counter("pool.shm.hit")
-                telemetry.gauge("pool.shm.idle", len(self._free))
-                return best
-        size = self._block_size(nbytes)
+            free = self._free.get(size)
+            if free:
+                block = free.pop()
+                block.refs = 1
+                idle = self._idle()
+            else:
+                block = None
+        if block is not None:
+            telemetry.counter("pool.shm.hit")
+            telemetry.gauge("pool.shm.idle", idle)
+            return block
         shm = _shared_memory.SharedMemory(create=True, size=size)
         block = ShmBlock(self, shm)
+        # the capacity is the free-list key: a power of two >= 1 MiB is
+        # already page-aligned, so the segment is never rounded up
+        assert block.capacity == size, (block.capacity, size)
         with self._lock:
-            self._live.add(block)
-            self.n_created += 1
+            closed = self._closed
+            if not closed:
+                self._live.add(block)
+                self.n_created += 1
+        if closed:  # close() ran while the segment was being created
+            _unlink_block(block)
+            raise ConfigError("SharedArena is closed")
         telemetry.counter("pool.shm.miss")
         telemetry.counter("pool.shm.growth_bytes", size)
         return block
 
     def _retain(self, block: ShmBlock) -> None:
         with self._lock:
+            if self._closed:
+                raise ConfigError("SharedArena is closed")
             if block.refs <= 0:
                 raise ConfigError("retain() on a block that is not leased")
             block.refs += 1
 
     def _release(self, block: ShmBlock) -> None:
-        unlink = False
         with self._lock:
-            block.refs -= 1
-            if block.refs > 0:
+            if self._closed:  # close() already unlinked it
                 return
-            if block.refs < 0:
+            if block.refs <= 0:
                 raise ConfigError("release() on a block that is not leased")
-            if self._closed or len(self._free) >= self._max_idle:
-                self._live.discard(block)
-                unlink = True
-            else:
-                self._free.append(block)
-            idle = len(self._free)
+            self._drop(block)
+            self._file_orphans()
+            idle = self._idle()
         telemetry.gauge("pool.shm.idle", idle)
-        if unlink:
-            _unlink_block(block)
+
+    def _release_later(self, block: ShmBlock) -> None:
+        # the adopt() finalizer: lock-free, so a release that fires inside
+        # a locked section of this very thread cannot deadlock (deque
+        # appends are atomic)
+        if not self._closed:
+            self._orphans.append(block)
+
+    def _file_orphans(self) -> None:
+        while self._orphans:
+            self._drop(self._orphans.popleft())
+
+    def _drop(self, block: ShmBlock) -> None:
+        block.refs -= 1
+        if block.refs == 0:
+            self._free.setdefault(block.capacity, []).append(block)
+
+    def _idle(self) -> int:
+        return sum(len(free) for free in self._free.values())
 
     def _retire(self, block: ShmBlock) -> None:
         with self._lock:
@@ -550,6 +602,7 @@ class SharedArena:
             blocks = list(self._live)
             self._live.clear()
             self._free.clear()
+            self._orphans.clear()
             self._closed = True
         for block in blocks:
             _unlink_block(block)
@@ -570,8 +623,10 @@ class SharedArena:
 
     @property
     def n_idle(self) -> int:
+        """Blocks on the free lists (released adoptions included)."""
         with self._lock:
-            return len(self._free)
+            self._file_orphans()
+            return self._idle()
 
     @property
     def n_live(self) -> int:

@@ -10,7 +10,9 @@ workers — never *which* bytes.  The contract under test:
   parent; a worker crash, hang, or timeout must not leak a single
   ``/dev/shm`` entry, and a timed-out task's output block is *retired*
   (unlinked, never recycled) so a wedged stale writer cannot corrupt a
-  later lease;
+  later lease; a repeated workload creates no segment once warm, and a
+  decoded result owns its block until it and its views are gone, even
+  past ``Engine.close()``;
 * **hygiene** — no ``resource_tracker`` warnings: workers attach without
   registering, the parent is the sole unlink owner (proved by a
   ``-W error`` subprocess);
@@ -24,10 +26,13 @@ tier-2 (``RUN_SLOW=1``), matching the chaos suite's convention.
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +44,7 @@ from repro.utils.pool import (
     MmapDescriptor,
     Scratch,
     SharedArena,
+    ShmArray,
     ShmDescriptor,
     mmap_descriptor_for,
     shm_available,
@@ -156,6 +162,86 @@ class TestArena:
             block.release()
         finally:
             arena.close()
+
+    def test_recycles_only_within_size_class(self):
+        arena = SharedArena()
+        try:
+            big = arena.lease(3 << 20)
+            assert big.capacity == 4 << 20
+            big.release()
+            small = arena.lease(1 << 12)
+            assert small.name != big.name  # a bigger idle block is not lent
+            again = arena.lease(4 << 20)
+            assert again.name == big.name
+            small.release()
+            again.release()
+            assert arena.n_idle == 2 and arena.n_created == 2
+        finally:
+            arena.close()
+
+    def test_adopted_block_released_after_every_view(self):
+        arena = SharedArena()
+        try:
+            arr = arena.lease(1 << 12).adopt((8, 8), np.float32)
+            assert isinstance(arr, ShmArray)
+            sub, plain = arr[2:4], np.asarray(arr)[1]
+            del arr
+            assert arena.n_idle == 0
+            del sub
+            assert arena.n_idle == 0  # the plain ndarray view still maps it
+            del plain
+            assert arena.n_idle == 1
+        finally:
+            arena.close()
+
+    def test_finalizer_inside_locked_lease_does_not_deadlock(self):
+        """An adopted block collected while the arena lock is held.
+
+        The array sits in a reference cycle, so only the garbage collector
+        frees it; the wrapped lock runs ``gc.collect()`` as soon as
+        ``lease`` holds it, which fires the finalizer on this thread.
+        """
+
+        class CollectingLock:
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                self.lock.acquire()
+                gc.collect()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        arena = SharedArena()
+        try:
+            cycle = [arena.lease(1 << 12).adopt((16,), np.float32)]
+            cycle.append(cycle)
+            del cycle
+            arena._lock = CollectingLock(arena._lock)
+            leased = []
+            worker = threading.Thread(
+                target=lambda: leased.append(arena.lease(1 << 12)), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), "finalizer deadlocked lease()"
+            assert arena.n_created == 1  # the collected block was re-leased
+            leased[0].release()
+        finally:
+            arena._lock = threading.Lock()  # a deadlocked worker holds the old
+            arena.close()
+
+    def test_release_after_close_is_a_noop(self):
+        arena = SharedArena()
+        arr = arena.lease(1 << 12).adopt((4,), np.float32)
+        held = arena.lease(1 << 12)
+        arena.close()
+        arr[:] = 1.5  # the mapping outlives the unlinked name
+        held.release()
+        del arr
+        gc.collect()
+        assert arena.n_idle == 0 and arena.n_live == 0
 
     def test_descriptor_for_rejects_foreign_array(self):
         arena = SharedArena()
@@ -473,12 +559,146 @@ def test_steady_state_soak_zero_growth():
     fields = _fields(4)
     with Engine(jobs=JOBS, pool="process", transport="shm", **FAST) as engine:
         _streams(engine, fields)  # warm: arena grows to working-set size
+        compress_plateau = len(_segments())
+        # a decode's in-flight blocks fit the compress working set; beyond
+        # it, each field it returns may hold at most its own output block
+        engine.decompress_batch(_streams(engine, fields))
         plateau = len(_segments())
+        assert plateau - compress_plateau <= len(fields)
         for _ in range(5):
             streams = _streams(engine, fields)
             engine.decompress_batch(streams)
-            assert len(_segments()) <= plateau + 1  # one in-flight grow max
+            assert len(_segments()) == plateau
     assert len(_segments()) <= plateau
+
+
+def _mixed_fields() -> list[np.ndarray]:
+    """Fields that span three arena size classes (1, 2 and 4 MiB inputs)."""
+    rng = np.random.default_rng(17)
+    return [
+        np.cumsum(rng.standard_normal(shape), axis=0).astype(np.float32)
+        for shape in ((64, 48), (512, 640), (96, 80), (1024, 768))
+    ]
+
+
+def _shm_counter(name: str) -> float:
+    from repro import telemetry
+
+    snap = telemetry.get_recorder().snapshot()
+    return sum(c[-1] for c in snap["metrics"]["counters"] if c[0] == name)
+
+
+def test_arena_steady_state_after_warmup():
+    """A repeated round of mixed-size batches creates no segment.
+
+    Each round keeps the previous round's decoded fields alive, as a
+    caller that reassigns its result does; two warm-up rounds reach the
+    working set of that pattern, and the third is served from the free
+    lists alone.
+    """
+    from repro import telemetry
+
+    fields = _mixed_fields()
+    with Engine(jobs=2, pool="process", transport="shm", **FAST) as engine:
+        arena = engine.shared_arena()
+        back = None
+        for _ in range(2):
+            back = engine.decompress_batch(_streams(engine, fields))
+        created = arena.n_created
+        telemetry.enable()
+        telemetry.get_recorder().clear()
+        back = engine.decompress_batch(_streams(engine, fields))
+        assert arena.n_created == created
+        assert _shm_counter("pool.shm.miss") == 0
+        assert _shm_counter("pool.shm.hit") > 0
+        # a field that fills half its block is the block; the small ones
+        # are copies, so they pin no segment
+        assert [isinstance(a, ShmArray) for a in back] == [
+            False, True, False, True
+        ]
+        for f, a in zip(fields, back):
+            np.testing.assert_allclose(a, f, atol=2 * EB * np.ptp(f))
+
+
+def test_small_decodes_do_not_pin_blocks():
+    """Many held small results keep the arena within the in-flight window.
+
+    A few-KB field would pin a 1 MiB block if it kept its output block;
+    it is copied out instead, so a batch of them leaves only the blocks
+    that ``4 * jobs`` tasks (one input and one output block each) had
+    in flight.
+    """
+    rng = np.random.default_rng(23)
+    fields = [
+        np.cumsum(rng.standard_normal((64, 48)), axis=0).astype(np.float32)
+        for _ in range(40)
+    ]
+    jobs = 2
+    with Engine(jobs=jobs, pool="process", transport="shm", **FAST) as engine:
+        arena = engine.shared_arena()
+        back = engine.decompress_batch(_streams(engine, fields))
+        assert not any(isinstance(a, ShmArray) for a in back)
+        assert arena.n_live <= 2 * (4 * jobs + 1)
+        for f, a in zip(fields, back):
+            np.testing.assert_allclose(a, f, atol=2 * EB * np.ptp(f))
+
+
+def test_decoded_result_owns_its_block():
+    """A held result is untouched by later batches, then recycled."""
+    fields = _mixed_fields()
+    with Engine(jobs=2, pool="process", transport="shm", **FAST) as engine:
+        arena = engine.shared_arena()
+        streams = _streams(engine, fields)
+        held = engine.decompress_batch(streams)[1]
+        expect = held.copy()
+        view, plain = held[10:20], np.asarray(held)[::2]
+        for _ in range(3):
+            engine.decompress_batch(_streams(engine, fields[::-1]))
+        np.testing.assert_array_equal(held, expect)
+        block, idle = held.shm_block, arena.n_idle
+        del held, view
+        assert arena.n_idle == idle  # the plain ndarray view still maps it
+        del plain
+        assert arena.n_idle == idle + 1
+        assert block in arena._free[block.capacity]
+
+
+def test_result_outlives_engine_close():
+    """Close unlinks every segment; a held result stays readable, feeds a
+    reopened engine, and its later collection is silent."""
+    code = f"""
+import gc, glob
+import numpy as np
+from repro.engine import Engine
+
+before = set(glob.glob("/dev/shm/psm_*"))
+rng = np.random.default_rng(3)
+field = np.cumsum(rng.standard_normal((256, 96)), 0).astype(np.float32)
+eng = Engine(jobs=2, pool="process", transport="shm", backoff=0.001)
+stream = eng.compress_batch([field], {EB}, "rel")[0].stream
+held = eng.decompress_batch([stream])[0]
+expect = np.array(held)
+eng.close()
+assert set(glob.glob("/dev/shm/psm_*")) <= before, "segments left after close"
+assert np.array_equal(held, expect)
+again = eng.compress_batch([held], {EB}, "rel")[0].stream  # reopened engine
+assert again == eng.compress_batch([expect], {EB}, "rel")[0].stream
+eng.close()
+del held
+gc.collect()
+assert set(glob.glob("/dev/shm/psm_*")) <= before
+print("OK")
+"""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", code],
+        capture_output=True, text=True, timeout=300, env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout
+    assert "resource_tracker" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +743,38 @@ def test_serve_zero_copy_bodies_match_pickle_engine():
         c for c in snap["metrics"]["counters"] if c[0] == "serve.shm_bodies"
     ]
     assert counted and counted[0][-1] >= 2  # both uploads leased segments
+
+
+@pytest.mark.slow
+def test_serve_sigterm_leaves_dev_shm_clean():
+    """SIGTERM stops ``repro serve`` through its stop event: exit code 0,
+    the arena unlinked by ``engine.close()``, the resource tracker silent."""
+    from .serve_support import request
+
+    before = set(_segments())
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+         "--pool", "process", "--jobs", "2", "--transport", "shm"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert "listening on http://" in banner, proc.stderr.read()
+        host, port = banner.split("http://")[1].split()[0].rsplit(":", 1)
+        data = np.arange(96 * 64, dtype=np.float32).reshape(96, 64)
+        status, _, _ = request(
+            (host, int(port)), "POST", "/v1/compress?shape=96,64&eb=1e-3",
+            body=data.tobytes(),
+        )
+        assert status == 200
+        assert set(_segments()) - before, "the upload should lease a segment"
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert "resource_tracker" not in stderr
