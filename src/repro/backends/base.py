@@ -71,6 +71,10 @@ class KernelBackend:
 
     #: Registry key; also the value shown in telemetry's ``backend`` attr.
     name: str = ""
+    #: True when :meth:`encode` itself raises the counted
+    #: :class:`~repro.errors.UnsupportedDataError` for NaN/Inf input, so
+    #: :meth:`~repro.core.pipeline.FZGPU.compress` skips its own pass.
+    rejects_non_finite: bool = False
 
     def __init__(self) -> None:
         self._tls = threading.local()

@@ -15,20 +15,29 @@ either way its chunk-major codes are one contiguous run of the stream, so
 slabs need no reordering.
 Per slab:
 
-1. pre-quantize the slab in float64 and take the per-chunk Lorenzo
-   residuals **without materializing the int64 grid** — ``rint`` output is
-   an exact float64 integer, and integer differences in float64 are exact
-   while ``max |q| < 2**51``, so float64 subtraction commutes bit-for-bit
-   with the reference's int64 pipeline (a guard falls back to the
-   ``reference`` kernels for pathological ``data/eb`` ratios);
-2. cast the residuals to int16 straight into chunk-major order and
-   sign-magnitude encode them there — a two's-complement int16 of a
-   magnitude ≤ 0x7FFF has bit 15 set exactly when negative, i.e. the
-   int16 bit pattern's top bit *is* the format's sign bit, collapsing the
-   clamp/compare/mask sequence to ``|x| | (x & 0x8000)``
+1. pre-quantize the slab once, straight into integers: divide and
+   ``rint`` in float64 (as ``reference`` does), take one max/min
+   reduction, then cast into an int32 slab when ``max |q| <= 2**27``
+   (each Lorenzo difference level, at most three, then stays within
+   ``2**30``), or into an int64 slab below ``2**51``; the per-chunk Lorenzo
+   residuals, the saturation count and the clamp all run at that width,
+   so they equal the reference's int64 pipeline bit for bit (beyond
+   ``2**51`` a guard falls back to the ``reference`` kernels).  NaN and
+   ±inf fail the same reduction's bounds, so the guard is also the
+   encoder's finiteness check: a failing slab counts the non-finite
+   values of the whole field and raises
+   :class:`~repro.errors.UnsupportedDataError`, and
+   :meth:`~repro.core.pipeline.FZGPU.compress` skips its separate
+   ``isfinite`` pass for this backend;
+2. cast the residuals to int16 and sign-magnitude encode them — a
+   two's-complement int16 of a magnitude ≤ 0x7FFF has bit 15 set exactly
+   when negative, i.e. the int16 bit pattern's top bit *is* the format's
+   sign bit, collapsing the clamp/compare/mask sequence to
+   ``|x| | (x & 0x8000)``
    (:func:`~repro.core.quantize.encode_sign_magnitude_int16`); a slab
    whose residuals saturate (checked per slab) is first counted and
-   clamped to ±0x7FFF in float64;
+   clamped to ±0x7FFF.  The codes are then gathered into chunk-major
+   order a whole ``chunk[-1]``-code run at a time;
 3. emit whole 32x32-bit tiles of the chunk-major codes through a
    pending-codes buffer (slab size need not divide the 2048-code tile);
 4. bit-transpose each batch of tiles in *bit-plane-major* layout — all
@@ -98,6 +107,7 @@ from repro.utils.bits import (
 )
 from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import Scratch
+from repro.utils.validation import check_finite
 
 __all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES"]
 
@@ -105,23 +115,27 @@ __all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES"]
 TILE_CODES = 2 * TILE_WORDS
 
 #: Aim for ~64K codes per encoder slab (chunk-rows, or chunk-row x
-#: chunk-column blocks once a chunk-row exceeds twice this): two float64
-#: work buffers plus two uint16 ones, 1.25 MiB, big enough to amortize
-#: ufunc dispatch and small enough to stay in a 2 MiB per-core L2 through
-#: all fused steps.  The decoder's slabs are whole chunk-rows of this many
-#: codes or more.
+#: chunk-column blocks once a chunk-row exceeds twice this): one float64
+#: quotient buffer, two int32 residual buffers and two uint16 code
+#: buffers, 1.25 MiB, big enough to amortize ufunc dispatch and small
+#: enough to stay in a 2 MiB per-core L2 through all fused steps.  The
+#: decoder's slabs are whole chunk-rows of this many codes or more.
 TARGET_SLAB_CODES = 1 << 16
 
-#: Residual magnitudes are exact in float64 subtraction only below this;
-#: 2**51 leaves two doublings of headroom under the 2**53 integer limit
-#: for the up-to-two extra Lorenzo difference levels.
+#: A slab with ``max |q| <= 2**27`` runs in int32: each of the up-to-three
+#: Lorenzo difference levels at most doubles the magnitude, so every
+#: residual, intermediates included, stays within ``2**30``.
+_Q32_LIMIT = float(2**27)
+#: Slabs below this bound run the same loop on int64 buffers; beyond it
+#: (``eb`` near 1e-13 for unit-scale data) the whole field goes to the
+#: ``reference`` kernels.
 _EXACT_LIMIT = float(2**51)
 #: Decode-side bound: per-chunk prefix sums must fit int32 exactly.
 _I32_LIMIT = 2**31
 
 
 class _NeedsExactPath(Exception):
-    """Raised when ``max |q|`` breaks the float64-exactness guard."""
+    """Raised when a slab's ``max |q|`` is beyond the fused paths' bounds."""
 
 
 #: The int64 staged kernels both fallbacks run on.
@@ -297,8 +311,7 @@ def _fused_encode_codes(
 
     # every buffer is sized for a full slab; a clipped slab takes a
     # contiguous prefix, so a ragged last block allocates nothing
-    fbuf = scratch.take("fz.f64a", (slab_n,), np.float64)
-    dbuf = scratch.take("fz.f64b", (slab_n,), np.float64)
+    fbuf = scratch.take("fz.f64", (slab_n,), np.float64)
     cbuf = scratch.take("fz.c16", (slab_n,), np.uint16)
     mbuf = scratch.take("fz.m16", (slab_n,), np.uint16)
     pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
@@ -339,6 +352,8 @@ def _fused_encode_codes(
         + (1,)
         + tuple(range(3, 2 * nd + 1, 2))
     )
+    # one run of chunk[-1] uint16 codes, the gather's unit of copy
+    run = np.dtype((np.void, 2 * chunk[-1]))
     # slabs in stream order: row-major over slab origins, so the blocks of
     # one chunk-row follow each other along axis 1
     for origin in itertools.product(
@@ -362,17 +377,31 @@ def _fused_encode_codes(
             out=f[tuple(slice(0, r) for r in real)],
         )
         np.rint(f, out=f)
-        if max(float(f.max()), -float(f.min())) >= _EXACT_LIMIT:
+        # one reduction picks the narrowest exact width; NaN fails every
+        # comparison and inf every bound, so a non-finite value always
+        # reaches the last branch
+        hi, lo = float(f.max()), float(f.min())
+        if hi <= _Q32_LIMIT and -lo <= _Q32_LIMIT:
+            width = np.int32
+        elif hi < _EXACT_LIMIT and -lo < _EXACT_LIMIT:
+            width = np.int64
+        else:
+            check_finite(data)
             raise _NeedsExactPath
+        # both widths share the two arenas: a wide slab grows them once.
+        # rint in place, then a plain cast, is ~1.5x faster than rint
+        # with an integer out= (NumPy buffers that cast)
+        src = scratch.take("fz.qa", (slab_n,), width)[:n].reshape(dims)
+        dst = scratch.take("fz.qb", (slab_n,), width)[:n].reshape(dims)
+        np.copyto(src, f, casting="unsafe")
         # per-chunk Lorenzo residuals: prepend-0 diff along every axis,
         # restarting at chunk boundaries (the strided writeback; slab
         # origins are chunk-aligned); diff axes commute, ping-ponging
-        # between the two float64 buffers.  Each diff runs over the flat
+        # between the two integer buffers.  Each diff runs over the flat
         # slab at axis k's stride, one long contiguous loop (along the
         # last axis ~2.5x faster than the n-D slices): it crosses a row
         # only where axis k's index is 0, a chunk start the writeback
         # overwrites
-        src, dst = f, dbuf[:n].reshape(dims)
         stride = 1
         for k in range(nd - 1, -1, -1):
             s1, d1 = src.reshape(-1), dst.reshape(-1)
@@ -383,27 +412,31 @@ def _fused_encode_codes(
             src, dst = dst, src
             stride *= dims[k]
         delta = src
-        slab_max = float(max(delta.max(), -delta.min()))
-        max_abs = max(max_abs, int(slab_max))
+        slab_max = max(int(delta.max()), -int(delta.min()))
+        max_abs = max(max_abs, slab_max)
         if slab_max > MAX_MAGNITUDE:
-            # rare saturating slab: count, then clamp in float64 exactly as
-            # reference clamps the magnitude
+            # rare saturating slab: count, then clamp exactly as reference
+            # clamps the magnitude
             np.absolute(delta, out=dst)
             mask = scratch.take("fz.mask", dims, bool)
             np.greater(dst, MAX_MAGNITUDE, out=mask)
             n_sat += int(np.count_nonzero(mask))
             np.clip(delta, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=delta)
-        # |delta| <= 0x7FFF now fits int16 exactly: cast it straight into
-        # chunk-major order (1-D's order is row-major already), then
-        # sign-magnitude encode in place
+        # |delta| <= 0x7FFF now fits int16 exactly: cast and sign-magnitude
+        # encode it in row-major order, then gather it into chunk-major
+        # order moving each run of chunk[-1] codes as one void item (the
+        # last axis lives inside the item, so perm drops it).  That takes
+        # about half the time of an element-wise transposing cast, whose
+        # inner loop is one run long
+        rm = mbuf[:n]
+        cm = cbuf[:n]
+        np.copyto(rm.view(np.int16).reshape(dims), delta, casting="unsafe")
+        encode_sign_magnitude_int16(rm.view(np.int16), rm, cm)
         view_shape: tuple[int, ...] = ()
         for d, c in zip(dims, chunk):
             view_shape += (d // c, c)
-        view = delta.reshape(view_shape).transpose(perm)
-        cm = cbuf[:n]
-        xi = cm.view(np.int16)
-        np.copyto(xi.reshape(view.shape), view, casting="unsafe")
-        encode_sign_magnitude_int16(xi, cm, mbuf[:n])
+        runs = rm.reshape(view_shape).view(run)[..., 0].transpose(perm[:-1])
+        np.copyto(cm.view(run).reshape(runs.shape), runs)
         flush_tiles(cm)
 
     if n_pend:
@@ -526,6 +559,7 @@ class FusedBackend(KernelBackend):
     """Cache-blocked single-pass encode and decode."""
 
     name = "fused"
+    rejects_non_finite = True
 
     def encode(
         self,

@@ -243,7 +243,7 @@ def unpack_stream(stream: bytes | bytearray | memoryview) -> tuple[StreamHeader,
         )
     if trailer:
         (stored,) = struct.unpack_from(_CRC_FMT, buf, expected - _CRC_BYTES)
-        actual = zlib.crc32(buf[: expected - _CRC_BYTES]) & 0xFFFFFFFF
+        actual = zlib.crc32(memoryview(buf)[: expected - _CRC_BYTES]) & 0xFFFFFFFF
         if stored != actual:
             raise FormatError(
                 f"stream CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"

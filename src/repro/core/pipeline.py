@@ -31,7 +31,12 @@ from repro.core.format import StreamHeader, pack_stream, unpack_stream
 from repro.core.quantize import QuantizerStats
 from repro.errors import ConfigError, DecompressionError, UnsupportedDataError
 from repro.utils.chunking import chunk_shape_for
-from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
+from repro.utils.validation import (
+    check_finite,
+    ensure_float32,
+    ensure_ndim,
+    ensure_positive,
+)
 
 
 def _resolve_backend(selected):
@@ -83,12 +88,17 @@ def resolve_error_bound(data: np.ndarray, eb: float, mode: str) -> float:
     ``mode="abs"`` uses ``eb`` directly; ``mode="rel"`` scales by the field's
     value range (the paper's "range-based relative error bound").  A constant
     field has zero range; we fall back to ``|value|`` or 1 so compression still
-    proceeds.
+    proceeds.  Non-finite extrema in rel mode raise
+    :class:`~repro.errors.UnsupportedDataError` naming the count of NaN/Inf
+    values, the same error the compressors' own finiteness checks raise.
     """
     eb = ensure_positive(eb, "eb")
     if mode == "abs":
         return eb
-    return resolve_error_bound_range(float(np.min(data)), float(np.max(data)), eb, mode)
+    lo, hi = float(np.min(data)), float(np.max(data))
+    if mode == "rel" and not (math.isfinite(lo) and math.isfinite(hi)):
+        check_finite(data)
+    return resolve_error_bound_range(lo, hi, eb, mode)
 
 
 @dataclass(frozen=True)
@@ -191,9 +201,13 @@ class FZGPU:
             either way; a scratch must not be shared between concurrent
             calls.
         """
-        data = ensure_ndim(ensure_float32(data))
-        chunk = chunk_shape_for(data.ndim, self._chunk)
         backend = _resolve_backend(self._backend)
+        # a backend whose encoder rejects NaN/Inf itself spares the
+        # separate isfinite pass over the field
+        data = ensure_ndim(
+            ensure_float32(data, finite=not backend.rejects_non_finite)
+        )
+        chunk = chunk_shape_for(data.ndim, self._chunk)
         with telemetry.span("fz.compress") as root:
             eb_abs = resolve_error_bound(data, eb, mode)
 

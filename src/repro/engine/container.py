@@ -383,7 +383,7 @@ def _parse_segment(blob: bytes, expected_ordinal: int, name: str) -> bytes:
     payload = reader.read_bytes(payload_len, "segment payload")
     (crc,) = reader.read_struct(_CRC_FMT, "segment CRC")
     reader.expect_exhausted("segment")
-    actual = zlib.crc32(blob[: _SEG_HDR_BYTES + payload_len]) & 0xFFFFFFFF
+    actual = zlib.crc32(memoryview(blob)[: _SEG_HDR_BYTES + payload_len]) & 0xFFFFFFFF
     if crc != actual:
         raise FormatError(
             f"segment {ordinal} CRC mismatch: stored {crc:#010x}, computed {actual:#010x}"
@@ -560,7 +560,7 @@ def resync_segments(blob: bytes) -> list[SegmentHit]:
         end = i + _SEG_HDR_BYTES + payload_len + _CRC_BYTES
         if payload_len <= n and end <= n:
             (stored,) = struct.unpack_from(_CRC_FMT, blob, end - _CRC_BYTES)
-            actual = zlib.crc32(blob[i : end - _CRC_BYTES]) & 0xFFFFFFFF
+            actual = zlib.crc32(memoryview(blob)[i : end - _CRC_BYTES]) & 0xFFFFFFFF
             if stored == actual:
                 hits.append(
                     SegmentHit(i, ordinal, blob[i + _SEG_HDR_BYTES : end - _CRC_BYTES])

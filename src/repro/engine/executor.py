@@ -41,6 +41,7 @@ recovery change wall-clock, never bytes.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import pathlib
 import threading
@@ -100,7 +101,7 @@ from repro.utils.pool import (
     shm_available,
 )
 from repro.utils.safeio import check_consistent
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_positive, non_finite_error
 
 __all__ = [
     "Engine",
@@ -230,6 +231,31 @@ class FileReport:
 # process-pool task functions (must be importable top-level for pickling);
 # each worker process keeps one lazily-created scratch arena for its lifetime
 # ---------------------------------------------------------------------------
+
+
+def _watch_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A parent killed without :meth:`Engine.close` (SIGKILL, a crash) would
+    otherwise leave its workers running, and with them the parent's
+    ``resource_tracker``, whose pipe they inherited; the tracker reclaims
+    the parent's leased ``/dev/shm`` segments only once every holder of
+    that pipe has exited.  The watch waits on the parent's process
+    sentinel, a pipe whose write end only the parent (and workers forked
+    after this one, which watch it the same way) holds, so it also fires
+    for a parent that died before this initializer ran, where a
+    ``getppid()`` read here would already see the new parent.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
+
 
 _PROC_SCRATCH: Scratch | None = None
 
@@ -571,7 +597,9 @@ class Engine:
                     max_workers=self.jobs, thread_name_prefix="repro-engine"
                 )
             else:
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.jobs, initializer=_watch_parent
+                )
         return self._executor
 
     def _rebuild_executor(self, reason: str) -> Executor:
@@ -1162,8 +1190,15 @@ class Engine:
                     hi = -math.inf
                     for a, b in spans:
                         part = np.asarray(data[a:b])
-                        lo = min(lo, float(part.min()))
-                        hi = max(hi, float(part.max()))
+                        p_lo, p_hi = float(part.min()), float(part.max())
+                        if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
+                            # min()/max() would drop a NaN: count them all
+                            raise non_finite_error(sum(
+                                int(np.count_nonzero(~np.isfinite(data[a:b])))
+                                for a, b in spans
+                            ))
+                        lo = min(lo, p_lo)
+                        hi = max(hi, p_hi)
                 eb_abs = resolve_error_bound_range(lo, hi, eb, "rel")
             else:
                 # validates the mode string too ("abs" passes eb straight through)

@@ -60,7 +60,7 @@ def save_field(path: str | pathlib.Path, data: np.ndarray) -> None:
     if path.suffix == ".npy":
         np.save(path, data)
     else:
-        data.astype("<f4").tofile(path)
+        data.astype("<f4", copy=False).tofile(path)
 
 
 def save_stream(path: str | pathlib.Path, stream: bytes) -> None:

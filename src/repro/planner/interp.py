@@ -462,7 +462,7 @@ def _check_framing(buf: bytes):
             f"stream size mismatch: have {len(buf)} bytes, header implies {expected}"
         )
     (stored,) = struct.unpack_from(_CRC_FMT, buf, expected - _CRC_BYTES)
-    actual = zlib.crc32(buf[: expected - _CRC_BYTES]) & 0xFFFFFFFF
+    actual = zlib.crc32(memoryview(buf)[: expected - _CRC_BYTES]) & 0xFFFFFFFF
     if stored != actual:
         raise FormatError(
             f"stream CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"

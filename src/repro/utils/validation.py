@@ -6,17 +6,45 @@ import numpy as np
 
 from repro.errors import ConfigError, UnsupportedDataError
 
-__all__ = ["ensure_float32", "ensure_positive", "ensure_ndim"]
+__all__ = [
+    "check_finite",
+    "ensure_float32",
+    "ensure_positive",
+    "ensure_ndim",
+    "non_finite_error",
+]
 
 
-def ensure_float32(data: np.ndarray, name: str = "data") -> np.ndarray:
+def check_finite(data: np.ndarray, name: str = "data") -> None:
+    """Raise :class:`UnsupportedDataError` naming the count of NaN/Inf values.
+
+    An error-*bounded* compressor cannot bound the error of a non-finite
+    value, so passing one through silently would corrupt the guarantee.
+    """
+    if data.size and not np.isfinite(data).all():
+        raise non_finite_error(int(np.count_nonzero(~np.isfinite(data))), name)
+
+
+def non_finite_error(n_bad: int, name: str = "data") -> UnsupportedDataError:
+    """The error :func:`check_finite` raises, for a caller that counted."""
+    return UnsupportedDataError(
+        f"{name} contains {n_bad} non-finite values (NaN/Inf); an "
+        f"error-bounded compressor cannot represent them — mask or "
+        f"replace them first"
+    )
+
+
+def ensure_float32(
+    data: np.ndarray, name: str = "data", finite: bool = True
+) -> np.ndarray:
     """Return ``data`` as a C-contiguous float32 array.
 
     Float64 inputs are downcast (scientific fields in SDRBench are
     single-precision; the paper's compressors all operate on f32).  Integer
-    or complex inputs are rejected, as are NaN/Inf values: an error-*bounded*
-    compressor cannot bound the error of a non-finite value, so passing one
-    through silently would corrupt the guarantee.
+    or complex inputs are rejected, and so, unless ``finite=False``, are
+    NaN/Inf values (:func:`check_finite`).  ``finite=False`` is for callers
+    whose own pass over the data already rejects them with the same error,
+    such as the ``fused`` encoder's quantization guard.
     """
     data = np.asarray(data)
     if data.dtype == np.float32:
@@ -33,13 +61,8 @@ def ensure_float32(data: np.ndarray, name: str = "data") -> np.ndarray:
         raise UnsupportedDataError(
             f"{name} must be float32/float64, got dtype={data.dtype}"
         )
-    if out.size and not np.isfinite(out).all():
-        n_bad = int(np.count_nonzero(~np.isfinite(out)))
-        raise UnsupportedDataError(
-            f"{name} contains {n_bad} non-finite values (NaN/Inf); an "
-            f"error-bounded compressor cannot represent them — mask or "
-            f"replace them first"
-        )
+    if finite:
+        check_finite(out, name)
     return out
 
 

@@ -22,7 +22,8 @@ import pytest
 from repro.backends import available_backends, fused, get_backend, resolve_backend
 from repro.backends.reference import ReferenceBackend
 from repro.core.pipeline import FZGPU
-from repro.errors import ConfigError, DecompressionError
+from repro.engine import Engine
+from repro.errors import ConfigError, DecompressionError, UnsupportedDataError
 from repro.utils.chunking import chunk_shape_for
 
 BACKENDS = available_backends()
@@ -231,6 +232,101 @@ def test_conformance_blocked_encode(shape, slab):
     padded = tuple(-(-s // c) * c for s, c in zip(shape, chunk))
     assert fused._encode_slab_shape(padded, chunk) == slab
     assert_conformant("fused", make_field(shape, "smooth"), 1e-3, "rel")
+
+
+
+# The fused encoder quantizes each slab into int32 when max |q| <= 2**27 and
+# into int64 below 2**51.  At eb = 0.5 abs, q = rint(data), and float32
+# holds every integer up to 2**24 and every multiple of 16 up to 2**28, so
+# these fields place each 1-D slab (65536 codes) on a chosen side of 2**27.
+WIDE_EB = 0.5
+Q32 = 2**27
+
+
+def _straddling_field() -> np.ndarray:
+    """Four slabs of random walks in steps of 16, each topping out at 0."""
+    rng = np.random.default_rng(27)
+    steps = rng.integers(-3, 4, (4, fused.TARGET_SLAB_CODES))
+    walk = np.cumsum(16.0 * steps, axis=1)
+    walk -= walk.max(axis=1, keepdims=True)
+    far = Q32 + 2.0**25
+    field = np.stack([
+        Q32 + walk[0],  # max |q| exactly 2**27: the last int32 slab
+        far - walk[1],  # above it: int64
+        walk[2] - far,  # above it, negative: int64
+        walk[3],  # small: int32 again
+    ])
+    return field.reshape(-1).astype(np.float32)
+
+
+def _slab_widths(data: np.ndarray) -> list[str]:
+    q = np.rint(data.astype(np.float64) / (2 * WIDE_EB))
+    n = fused.TARGET_SLAB_CODES
+    return [
+        "int32" if np.abs(q[i : i + n]).max() <= Q32 else "int64"
+        for i in range(0, q.size, n)
+    ]
+
+
+def test_conformance_int32_and_int64_slabs():
+    """One stream mixes int32 and int64 slabs; bytes, n_saturated and
+    max_abs still equal reference's."""
+    data = _straddling_field()
+    assert _slab_widths(data) == ["int32", "int64", "int64", "int32"]
+    assert_conformant("fused", data, WIDE_EB, "abs")
+
+
+@pytest.mark.parametrize("m", [Q32, 2 * Q32], ids=["2**27", "2**28"])
+def test_conformance_worst_case_residuals(m):
+    """A 3-D checkerboard of +-m has interior residuals of 8m: 2**30 fits
+    int32 at the int32 bound itself, 2**31 would wrap if that bound were
+    not conservative."""
+    sign = (-1.0) ** np.indices((16, 16, 16)).sum(axis=0)
+    assert_conformant("fused", (m * sign).astype(np.float32), WIDE_EB, "abs")
+
+
+@pytest.mark.parametrize("width", ["int32", "int64"])
+def test_conformance_saturating_slabs_at_both_widths(width):
+    """Residuals beyond 0x7FFF are counted and clamped at either width."""
+    rng = np.random.default_rng(15)
+    base = 2.0**20 if width == "int32" else 2.0**27 + 2.0**25
+    data = base + 16.0 * np.cumsum(rng.integers(-2, 3, (96, 700)), axis=1)
+    data[::7, ::13] += 2.0**17  # isolated spikes: residuals far past 0x7FFF
+    data = data.astype(np.float32)
+    n = fused.TARGET_SLAB_CODES
+    q = np.abs(np.rint(data.astype(np.float64)))
+    assert (q.max() <= Q32) == (width == "int32")
+    ref = FZGPU(backend="reference").compress(data, WIDE_EB, "abs")
+    assert ref.quantizer.n_saturated > data.size // 100 > 0
+    assert data.size > n  # more than one slab
+    assert_conformant("fused", data, WIDE_EB, "abs")
+
+
+def _last_slab_bad(value: float) -> np.ndarray:
+    """A (40, 64, 64) field, three non-finite values in its last slab."""
+    data = make_field((40, 64, 64), "smooth")
+    data[-1, -1, -3:] = value
+    return data
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["abs", "rel"])
+def test_non_finite_rejected_with_count(value, mode, tmp_path):
+    """The fused encoder's guard rejects NaN/Inf the way the isfinite pass
+    it replaces did, from every entry point and in both modes."""
+    data = _last_slab_bad(value)
+    with pytest.raises(UnsupportedDataError, match="3 non-finite"):
+        FZGPU().compress(data, 1e-3, mode)
+    with pytest.raises(UnsupportedDataError, match="3 non-finite"):
+        FZGPU(backend="reference").compress(data, 1e-3, mode)
+    with Engine(jobs=1) as engine:
+        with pytest.raises(UnsupportedDataError, match="3 non-finite"):
+            engine.compress_chunked(data, 1e-3, mode, chunk_bytes=64 << 10)
+        src = tmp_path / "bad.npy"
+        np.save(src, data)
+        with pytest.raises(UnsupportedDataError, match="3 non-finite"):
+            engine.compress_file(src, tmp_path / "bad.fz", 1e-3, mode,
+                                 chunk_bytes=64 << 10)
 
 
 @pytest.mark.slow

@@ -33,6 +33,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -778,3 +779,73 @@ def test_serve_sigterm_leaves_dev_shm_clean():
             proc.communicate()
     assert proc.returncode == 0, stderr
     assert "resource_tracker" not in stderr
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("when", ["after_batch", "at_pool_start"])
+def test_workers_die_with_a_killed_parent(when):
+    """A SIGKILLed parent takes its pool down: the workers see their parent's
+    sentinel close and exit, and the parent's resource tracker, whose pipe
+    they held open, then unlinks the arena's segments.  ``at_pool_start``
+    kills the parent as soon as the workers are forked, which can precede
+    their initializer."""
+    work = {
+        "after_batch": 'eng.compress_batch(fields, 1e-3, "rel")',
+        "at_pool_start": "eng._ensure_executor().submit(int)",
+    }[when]
+    code = f"""
+import time
+import numpy as np
+from repro.engine import Engine
+
+rng = np.random.default_rng(0)
+fields = [np.cumsum(rng.standard_normal((24, 20)), 0).astype(np.float32)
+          for _ in range(4)]
+eng = Engine(jobs=2, pool="process", transport="shm", backoff=0.001)
+{work}
+print(*eng._executor._processes, flush=True)
+time.sleep(300)
+"""
+    before = set(_segments())
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    pids: list[int] = []
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2, pids
+        if when == "after_batch":
+            assert set(_segments()) - before, "the batch should lease segments"
+    finally:
+        proc.kill()
+        proc.wait()  # not communicate(): surviving workers hold stdout open
+        proc.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while True:
+        alive = [p for p in pids if _alive(p)]
+        leaked = set(_segments()) - before
+        if not (alive or leaked) or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    for pid in alive:  # do not let a failed run leave workers behind
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"workers outlived their killed parent: {alive}"
+    assert not leaked, f"segments outlived the pool: {sorted(leaked)}"
