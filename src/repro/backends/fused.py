@@ -45,6 +45,10 @@ Per slab:
    the tile-major layout's stride-``j`` hops — and derive zero-block flags
    and literal blocks directly from that layout, so the word-transposed
    "shuffled" array of the staged pipeline is never materialized either.
+   Each 16-byte block is OR-ed as two ``uint64`` words for its flag, and
+   a ``(tile, plane, block)`` view of the planes as 16-byte ``void``
+   items gathers the literals in stream order with the flag mask itself:
+   no index arrays, no fancy indexing.
 
 Output is **byte-identical** to the ``reference`` backend for every input
 (enforced by ``tests/test_backends_conformance.py``); the speedup over
@@ -57,14 +61,18 @@ decode → inverse Lorenzo/dequant), :func:`_fused_decode_codes` walks the
 field in slabs of whole chunk-rows (cutting wide chunk-rows into the
 encoder's chunk-column blocks measured no decode gain) and, per slab,
 scatters only the needed tiles' literal blocks straight into the
-bit-plane-major layout, applies the masked-swap network once more (the
-transpose is an involution), and un-gathers chunk-major codes into an
-int32 slab that is written out as float32 rows.  The sign-magnitude decode is
-branch-free (:func:`~repro.core.quantize.decode_sign_magnitude_into`):
-with ``s = int16(code) >> 15`` the value is ``((code & 0x7FFF) ^ s) - s``,
-three plain integer passes and no masked ``where=`` ufunc, whose
-per-element branch does not vectorize (``docs/PERFORMANCE.md`` has the
-measured pairs).  Decode
+bit-plane-major layout (mask assignment into the same 16-byte block view
+the encoder gathers from), applies the masked-swap network once more (the
+transpose is an involution), and un-gathers chunk-major codes into
+row-major order a whole ``chunk[-1]``-code run at a time, as the encoder
+gathers them.  The sign-magnitude decode is branch-free
+(:func:`~repro.core.quantize.decode_sign_magnitude_into`): with
+``s = int16(code) >> 15`` the value is ``((code & 0x7FFF) ^ s) - s``,
+computed in place over the slab's int16 codes with same-type loops and
+widened once into an int32 slab that is written out as float32 rows — no
+masked ``where=`` ufunc, whose per-element branch does not vectorize, and
+no mixed-dtype ufunc, which NumPy runs through a buffered cast
+(``docs/PERFORMANCE.md`` has the measured pairs).  Decode
 magnitudes are masked to 15 bits, so every per-chunk prefix sum —
 intermediates included — is bounded by ``0x7FFF * chunk_elems``, which
 fits int32 for every default chunk; for custom chunks where it might
@@ -167,6 +175,20 @@ def _transpose_bitplanes(B: np.ndarray, scratch: Scratch) -> None:
         np.bitwise_xor(lo, t, out=lo)
 
 
+#: One zero-block literal (``BLOCK_WORDS`` uint32 words) as a single item.
+_BLOCK = np.dtype((np.void, 4 * BLOCK_WORDS))
+
+
+def _block_view(B: np.ndarray, n_tiles: int) -> np.ndarray:
+    """``B``'s 16-byte blocks as a ``(tile, plane, block)`` stream-order view.
+
+    Batch flag ``t*256 + c*8 + m`` is block ``B[c, t*32 + 4m : t*32 + 4m +
+    4]``, item ``[t, c, m]`` of this view, so a flag mask of shape
+    ``(n_tiles, 32, 8)`` gathers or scatters literals in stream order.
+    """
+    return B.view(_BLOCK).reshape(32, n_tiles, 8).transpose(1, 0, 2)
+
+
 def encode_tiles(
     codes: np.ndarray, scratch: Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,21 +205,17 @@ def encode_tiles(
     B = scratch.take("fz.planes", (32, M), np.uint32)
     np.copyto(B, flat.T)
     _transpose_bitplanes(B, scratch)
-    # per-block OR without materializing the word-transposed layout:
-    # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]
-    grp = B.reshape(32, n_tiles, 8, BLOCK_WORDS)
-    acc = scratch.take("fz.acc", (32, n_tiles, 8), np.uint32)
-    np.bitwise_or(grp[..., 0], grp[..., 1], out=acc)
-    for w in range(2, BLOCK_WORDS):
-        np.bitwise_or(acc, grp[..., w], out=acc)
-    bf = scratch.take("fz.bf", (n_tiles * 256,), bool)
-    np.not_equal(acc.transpose(1, 0, 2), 0, out=bf.reshape(n_tiles, 32, 8))
-    flags = pack_bitflags(bf)
-    # gather only the nonzero blocks, straight from the plane layout
-    idx = np.nonzero(bf)[0]
-    c = (idx >> 3) & 31
-    tm = ((idx >> 8) << 3) | (idx & 7)
-    return flags, B.reshape(32, n_tiles * 8, BLOCK_WORDS)[c, tm].reshape(-1)
+    # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]: OR it as
+    # two uint64 words, then read the flags in stream order (t, c, m).  The
+    # ORs fill the transpose's swap arena, free now and exactly this size
+    words = B.view(np.uint64).reshape(32, n_tiles, 8, BLOCK_WORDS // 2)
+    acc = scratch.take("fz.swap", (32, n_tiles, 8), np.uint64)
+    np.bitwise_or(words[..., 0], words[..., 1], out=acc)
+    bf = scratch.take("fz.bf", (n_tiles, 32, 8), bool)
+    np.not_equal(acc.transpose(1, 0, 2), 0, out=bf)
+    flags = pack_bitflags(bf.reshape(-1))
+    # gather the nonzero blocks, in stream order, as 16-byte items
+    return flags, _block_view(B, n_tiles)[bf].view(np.uint32)
 
 
 def join_tiles(parts: list[tuple[np.ndarray, np.ndarray]]) -> EncodedBlocks:
@@ -219,7 +237,10 @@ class TileDecoder:
     (:func:`~repro.core.encoder.check_blocks`, then ``bitunshuffle``'s
     checks: same conditions, same messages, same order), so crafted streams
     fail identically whichever path decodes them.  :meth:`codes` then
-    decodes any code range from its covering tiles alone.
+    decodes any code range from its covering tiles alone: the tiles' flag
+    mask scatters their literals, kept as 16-byte ``void`` items, into the
+    stream-order block view of the planes (a range of literal-free tiles
+    skips the scatter).
     """
 
     def __init__(self, encoded: EncodedBlocks, n_codes: int, scratch: Scratch):
@@ -233,7 +254,7 @@ class TileDecoder:
             )
         self._scratch = scratch
         self._byteflags = byteflags
-        self._lit_blocks = literals.reshape(-1, BLOCK_WORDS)
+        self._literals = literals.view(_BLOCK)
         # literal-block start offset of every tile: exclusive cumsum of
         # per-tile flag popcounts, so any tile range scatters without a
         # global pass
@@ -250,16 +271,16 @@ class TileDecoder:
         t_hi = -(-hi // TILE_CODES)
         n_tiles = t_hi - t_lo
         M = n_tiles * 32
-        # zero-block scatter straight into the bit-plane-major layout:
-        # batch flag t*256 + c*8 + m is block B[c, t*32 + 4m : t*32 + 4m + 4]
         B = self._scratch.take("fzd.planes", (32, M), np.uint32)
         B.fill(0)
-        idx = np.nonzero(self._byteflags[t_lo * 256 : t_hi * 256])[0]
-        if idx.size:
-            start = self._lit_tile_start
-            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[
-                (idx >> 3) & 31, ((idx >> 8) << 3) | (idx & 7)
-            ] = self._lit_blocks[start[t_lo] : start[t_hi]]
+        # zero-block scatter straight into the bit-plane-major layout, by
+        # the tiles' flag mask (a run of literal-free tiles skips it)
+        l_lo, l_hi = self._lit_tile_start[t_lo], self._lit_tile_start[t_hi]
+        if l_hi > l_lo:
+            mask = self._byteflags[t_lo * 256 : t_hi * 256]
+            _block_view(B, n_tiles)[mask.reshape(n_tiles, 32, 8)] = (
+                self._literals[l_lo:l_hi]
+            )
         # the masked-swap network is an involution: one more pass undoes
         # the encoder's transpose
         _transpose_bitplanes(B, self._scratch)
@@ -482,14 +503,16 @@ def _fused_decode_codes(
     inv = np.float64(2.0 * eb_abs)
 
     # chunk-major -> row-major scatter: the encoder's gather permutation,
-    # applied through a transposed destination view
+    # applied through a transposed destination view whose items are runs of
+    # chunk[-1] codes (the last axis lives inside the item, so perm drops it)
     grid = tuple(p // c for p, c in zip(inner_p, chunk[1:]))
     perm = (
         (0,)
         + tuple(range(2, 2 * nd, 2))
         + (1,)
-        + tuple(range(3, 2 * nd + 1, 2))
+        + tuple(range(3, 2 * nd - 1, 2))
     )
+    run = np.dtype((np.void, 2 * chunk[-1]))
 
     out = np.empty(orig_shape, dtype=np.float32)
     for a in range(0, padded[0], slab_rows):
@@ -510,15 +533,16 @@ def _fused_decode_codes(
             cr = sl
         else:
             cr = scratch.take("fzd.c16", (rows * inner_n,), np.uint16)
-            view = cr.reshape(view_shape).transpose(perm)
-            np.copyto(view, sl.reshape(view.shape))
+            runs = cr.reshape(view_shape).view(run)[..., 0].transpose(perm)
+            np.copyto(runs, sl.view(run).reshape(runs.shape))
         # branch-free sign-magnitude decode into int32: magnitudes are
         # masked to 15 bits, and every prefix sum — intermediate cumsum
         # passes included — is a sub-box sum of one chunk's deltas, so
         # max|mag| * prod(chunk) bounds them all.  Default chunks can never
         # trip it (0x7FFF * 512 << 2**31); for oversized custom chunks a
         # max-reduction checks the slab, and a slab that might overflow
-        # takes the int64 reference path instead
+        # takes the int64 reference path instead.  The decode runs in place
+        # over cr, this decoder's own scratch in every dimension
         f = scratch.take("fzd.i32a", view_shape, np.int32)
         sign = scratch.take("fzd.s16", view_shape, np.int16)
         decode_sign_magnitude_into(cr.reshape(view_shape), f, sign)

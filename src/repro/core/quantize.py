@@ -73,19 +73,25 @@ def decode_sign_magnitude_into(
     """Branch-free signed values of sign-magnitude ``codes``, into ``out``.
 
     Equal to ``where(codes & SIGN_BIT, -mag, mag)`` with
-    ``mag = codes & MAX_MAGNITUDE``, bit for bit.  An integer ``out`` takes
-    ``s = int16(code) >> 15`` (0 or -1) into the ``int16`` buffer ``sign``
-    and computes ``(mag ^ s) - s``; a float ``out`` takes ``copysign(mag,
-    int16(code))``, so code ``0x8000`` decodes to ``-0.0`` as ``-mag`` does.
+    ``mag = codes & MAX_MAGNITUDE``, bit for bit.  An integer ``out`` works
+    in ``int16`` with same-type loops: ``s = int16(code) >> 15`` (0 or -1)
+    goes into the ``int16`` buffer ``sign``, ``((code & 0x7FFF) ^ s) - s``
+    is computed **in place over** ``codes``, which are left holding these
+    ``int16`` values, and is then widened once into ``out``; so pass codes
+    the caller owns as scratch.  A float ``out`` leaves ``codes`` unchanged
+    and takes ``copysign(mag, int16(code))``, so code ``0x8000`` decodes to
+    ``-0.0`` as ``-mag`` does.
     """
-    np.bitwise_and(codes, np.uint16(MAX_MAGNITUDE), out=out)
     signed = codes.view(np.int16)
     if out.dtype.kind == "f":
+        np.bitwise_and(codes, np.uint16(MAX_MAGNITUDE), out=out)
         np.copysign(out, signed, out=out)
     else:
         np.right_shift(signed, 15, out=sign)
-        np.bitwise_xor(out, sign, out=out)
-        np.subtract(out, sign, out=out)
+        np.bitwise_and(signed, np.int16(MAX_MAGNITUDE), out=signed)
+        np.bitwise_xor(signed, sign, out=signed)
+        np.subtract(signed, sign, out=signed)
+        np.copyto(out, signed)
     return out
 
 

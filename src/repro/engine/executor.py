@@ -1660,14 +1660,23 @@ class Engine:
         The input is memory-mapped (``.npy`` via ``np.load(mmap_mode='r')``,
         raw ``.f32``/``.dat`` via ``np.memmap``), so peak memory is one
         chunk per in-flight worker regardless of field size.  ``plan``
-        behaves as in :meth:`compress_chunked_to`.
+        behaves as in :meth:`compress_chunked_to`.  A compression that
+        fails part-way removes the output file before the error propagates,
+        so no truncated container (one without index or footer) is left.
         """
         data = _open_field_mmap(input_path, shape)
         with open(output_path, "wb") as f:
-            report = self.compress_chunked_to(
-                f, data, eb, mode, chunk_bytes, name=str(output_path), plan=plan
-            )
-        return report
+            try:
+                return self.compress_chunked_to(
+                    f, data, eb, mode, chunk_bytes, name=str(output_path),
+                    plan=plan,
+                )
+            except BaseException:
+                f.close()
+                # a device or pipe named as the output is not ours to remove
+                if pathlib.Path(output_path).is_file():
+                    os.unlink(output_path)
+                raise
 
     def decompress_file(
         self,

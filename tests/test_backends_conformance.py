@@ -22,6 +22,7 @@ import pytest
 from repro.backends import available_backends, fused, get_backend, resolve_backend
 from repro.backends.reference import ReferenceBackend
 from repro.core.pipeline import FZGPU
+from repro.datasets import generate
 from repro.engine import Engine
 from repro.errors import ConfigError, DecompressionError, UnsupportedDataError
 from repro.utils.chunking import chunk_shape_for
@@ -327,6 +328,20 @@ def test_non_finite_rejected_with_count(value, mode, tmp_path):
         with pytest.raises(UnsupportedDataError, match="3 non-finite"):
             engine.compress_file(src, tmp_path / "bad.fz", 1e-3, mode,
                                  chunk_bytes=64 << 10)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_compress_file_leaves_no_output(jobs, tmp_path):
+    """A NaN in the last segment fails compress_file after earlier segments
+    were written: the truncated container must not stay on disk."""
+    data = generate("cesm").data
+    data.flat[-1] = np.nan
+    src, dst = tmp_path / "nan.npy", tmp_path / "nan.fz"
+    np.save(src, data)
+    with Engine(jobs=jobs) as engine:
+        with pytest.raises(UnsupportedDataError, match="1 non-finite"):
+            engine.compress_file(src, dst, 1e-3, "abs", chunk_bytes=1 << 19)
+    assert not dst.exists()
 
 
 @pytest.mark.slow

@@ -182,3 +182,63 @@ class TestTileCodecOracle:
                 TileDecoder(bad, n, Scratch())
         with pytest.raises(DecompressionError, match="codes"):
             TileDecoder(encoded, 2 * encoded.n_blocks * 4 + 1, Scratch())
+
+
+#: Tiles [1, 3) of every mixed-flag stream are all zero: a literal-free run.
+ZERO_TILES = (1, 3)
+
+
+def _mixed_codes(n: int) -> np.ndarray:
+    """Small-magnitude signed codes: a tile's bit planes mix zero and
+    literal blocks, unlike the all-zero / all-nonzero oracle codes, so a
+    gather or scatter that walks the blocks out of stream order shows."""
+    rng = np.random.default_rng(n + 7)
+    codes = rng.integers(0, 6, size=n, dtype=np.uint16)
+    codes[rng.random(n) < 0.3] |= 0x8000  # some negative residuals
+    codes[rng.random(n) < 0.5] = 0
+    codes[ZERO_TILES[0] * TILE_CODES : ZERO_TILES[1] * TILE_CODES] = 0
+    codes[0] = 5  # a literal even in a one-code stream
+    return codes
+
+
+@pytest.mark.parametrize("n", TILE_COUNTS)
+class TestTileCodecMixedFlags:
+    """The tile codec's mask gather and scatter, on tiles whose blocks mix
+    zero and literal flags, and across a run of literal-free tiles."""
+
+    def test_encode_matches_staged(self, n):
+        codes = _mixed_codes(n)
+        want = encode_zero_blocks(bitshuffle(codes))
+        flags = np.unpackbits(want.bitflags, bitorder="little")[:256]
+        assert 0 < flags.sum() < 256  # the first tile mixes its flags
+        padded = np.zeros(-(-n // TILE_CODES) * TILE_CODES, np.uint16)
+        padded[:n] = codes
+        whole = join_tiles([encode_tiles(padded, Scratch())])
+        scratch = Scratch()
+        per_tile = join_tiles([
+            encode_tiles(padded[lo : lo + TILE_CODES], scratch)
+            for lo in range(0, padded.size, TILE_CODES)
+        ])
+        for got in (whole, per_tile):
+            assert got.n_blocks == want.n_blocks
+            assert got.n_nonzero == want.n_nonzero
+            assert np.array_equal(got.bitflags, want.bitflags)
+            assert np.array_equal(got.literals, want.literals)
+
+    def test_decode_matches_staged(self, n):
+        encoded = encode_zero_blocks(bitshuffle(_mixed_codes(n)))
+        want = bitunshuffle(decode_zero_blocks(encoded), n)
+        tiles = TileDecoder(encoded, n, Scratch())
+        edge = TILE_CODES
+        ranges = [(0, n), (edge - 5, edge + 7), (n // 3, n), (1, n - 1),
+                  (n - 1, n), (2 * edge - 1, 4 * edge + 1)]
+        if n > ZERO_TILES[1] * TILE_CODES:
+            # tiles [1, 3) hold no literal, so their scatter is skipped
+            lo, hi = (t * TILE_CODES for t in ZERO_TILES)
+            flags = np.unpackbits(encoded.bitflags, bitorder="little")
+            assert not flags[lo // 8 : hi // 8].any()
+            ranges += [(lo, hi), (lo + 3, hi - 5)]
+        for lo, hi in ranges:
+            lo, hi = max(0, min(lo, n)), max(0, min(hi, n))
+            if lo < hi:
+                assert np.array_equal(tiles.codes(lo, hi), want[lo:hi]), (lo, hi)

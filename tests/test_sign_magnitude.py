@@ -31,6 +31,7 @@ from repro.core.quantize import (
 )
 from repro.planner import interp
 from repro.planner.interp import interp_compress, interp_decompress, interp_info
+from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import Scratch
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -96,6 +97,57 @@ def test_decode_helper_float64_matches_where_oracle_bitwise():
     # via uint64 so the sign of zero counts: 0x8000 decodes to -0.0
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(got[0x8000]) and not np.signbit(got[0])
+
+
+def test_decode_helper_int_path_decodes_in_place():
+    """The int path leaves ``codes`` holding their int16 values (the
+    documented in-place contract); the float path leaves them unchanged."""
+    codes, mag = _every_code()
+    want = np.where(codes & SIGN_BIT, -mag, mag)
+    kept = codes.copy()
+    decode_sign_magnitude_into(codes, np.empty(codes.shape, np.float64))
+    assert np.array_equal(codes, kept)
+    got = decode_sign_magnitude_into(
+        codes, np.empty(codes.shape, np.int32), np.empty(codes.shape, np.int16)
+    )
+    assert np.array_equal(got, want)
+    assert np.array_equal(codes.view(np.int16), want)
+
+
+def test_decoders_decode_in_place_only_over_their_scratch(monkeypatch):
+    """``fused`` and FZIN take the in-place int path only for codes held in
+    the scratch they decode with; the stream is never written."""
+    calls = []
+
+    def spy(codes, out, sign=None):
+        owned = any(np.shares_memory(codes, a) for a in scratch._arenas.values())
+        calls.append(out.dtype.kind == "f" or owned)
+        return decode_sign_magnitude_into(codes, out, sign)
+
+    monkeypatch.setattr(fused, "decode_sign_magnitude_into", spy)
+    monkeypatch.setattr(interp, "decode_sign_magnitude_into", spy)
+    rng = np.random.default_rng(5)
+    for shape in ((5000,), (70, 90), (12, 20, 30)):
+        data = np.cumsum(rng.standard_normal(shape), axis=0).astype(np.float32)
+        eb = 1e-3 * float(data.max() - data.min())
+        chunk = chunk_shape_for(data.ndim, None)
+        out = fused.FusedBackend().encode(data, eb, chunk)
+        literals = out.encoded.literals.copy()
+        scratch = Scratch()
+        want = ReferenceBackend().decode(
+            out.encoded, out.padded_shape, shape, eb, chunk
+        )
+        got = fused.FusedBackend().decode(
+            out.encoded, out.padded_shape, shape, eb, chunk, scratch
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(out.encoded.literals, literals)
+        stream = interp_compress(data, eb).stream
+        kept = bytes(stream)
+        scratch = Scratch()
+        interp_decompress(stream, scratch=scratch)
+        assert stream == kept
+    assert calls and all(calls)
 
 
 def _fzin_stream(codes: np.ndarray, eb_abs: float, anchor_log2: int) -> bytes:
