@@ -160,7 +160,6 @@ def _cli_engine(args: argparse.Namespace):
         backend=getattr(args, "backend", None),
         retries=retries,
         task_timeout=args.task_timeout,
-        transport=getattr(args, "transport", "auto"),
     )
 
 
@@ -523,12 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--task-timeout", type=float, default=None, metavar="S",
                         help="per-task wall-clock budget in seconds "
                              "(default: none)")
-        sp.add_argument("--transport", choices=("auto", "pickle", "shm"),
-                        default="auto",
-                        help="process-pool payload transport: shm ships "
-                             "shared-memory descriptors instead of pickled "
-                             "arrays (auto uses shm where the platform "
-                             "supports it; output bytes are identical)")
 
     def add_telemetry_opts(sp):
         sp.add_argument("--trace", metavar="OUT", default=None,

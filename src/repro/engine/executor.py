@@ -123,8 +123,8 @@ DEFAULT_RETRIES = 2
 #: Hard cap on one exponential-backoff sleep.
 MAX_BACKOFF_S = 2.0
 
-#: Largest payload the shm transport stages per task; bigger items fall back
-#: to pickling for that item.  Writes past /dev/shm capacity die with SIGBUS
+#: Largest payload the process pool stages in shared memory per task;
+#: bigger items ship pickled.  Writes past /dev/shm capacity die with SIGBUS
 #: (tmpfs reserves lazily), which no validation ladder can catch, so huge
 #: one-shot fields belong on the chunked API rather than in one segment.
 MAX_SHM_STAGE_BYTES = 1 << 31
@@ -329,13 +329,13 @@ _PROC_TELEM_FRESH = False
 
 
 # ---------------------------------------------------------------------------
-# shared-memory transport (transport="shm"): tasks carry (name, offset,
-# shape, dtype) descriptors instead of pickled arrays.  Workers attach
-# read-only input views and write their payload into a descriptor-addressed
-# output region; only a small marker (plus compression metadata) rides the
-# result pickle.  Items that could not be staged — oversized fields, headers
-# that fail the peek, lease failures — fall back to the pickle payload shape
-# within the same run, so the two transports stay byte-identical.
+# process-pool data plane: tasks carry (name, offset, shape, dtype)
+# descriptors instead of pickled arrays.  Workers attach read-only input
+# views and write their payload into a descriptor-addressed output region;
+# only a small marker (plus compression metadata) rides the result pickle.
+# An item that cannot be staged — a field over MAX_SHM_STAGE_BYTES, a header
+# that fails the peek, a failed lease, a platform without shared memory —
+# ships pickled instead, and its bytes are the same either way.
 # ---------------------------------------------------------------------------
 
 
@@ -414,7 +414,7 @@ def _stream_capacity(nbytes: int) -> int:
 
 
 class _ShmLedger:
-    """Parent-side lease bookkeeping for one shm-transport pool call.
+    """Parent-side lease bookkeeping for one process-pool call.
 
     Every block a task references stays leased until that task's result
     slot is consumed, so retries, pool rebuilds and resubmissions always
@@ -482,8 +482,9 @@ class Engine:
         uses as its own reference.
     pool:
         ``"thread"`` (default; NumPy releases the GIL in the hot kernels)
-        or ``"process"`` (fallback for Python-overhead-bound workloads;
-        how fields/streams cross the process boundary is ``transport``).
+        or ``"process"`` (for Python-overhead-bound workloads; fields and
+        streams cross the process boundary in shared memory where the
+        platform has it, pickled otherwise — the bytes are the same).
     buffer_pool:
         Optional externally-owned :class:`BufferPool` to share arenas
         across engines (each worker borrows one :class:`Scratch` per task).
@@ -518,15 +519,6 @@ class Engine:
         field/chunk and may route it to the interpolation or constant
         pipeline (see :mod:`repro.planner`).  Decompression always
         dispatches on the stream magic, independent of this setting.
-    transport:
-        How array payloads cross the process-pool boundary.  ``"auto"``
-        (default) uses named shared memory when the pool is ``"process"``,
-        ``jobs > 1`` and the platform supports it, else pickling;
-        ``"pickle"`` forces the legacy path; ``"shm"`` requires shared
-        memory and raises :class:`ConfigError` where it is unavailable.
-        Thread pools and inline runs share address space already, so the
-        knob only affects process pools.  Output bytes are identical for
-        every setting (``tests/test_engine_shm.py``).
     """
 
     def __init__(
@@ -540,22 +532,12 @@ class Engine:
         task_timeout: float | None = None,
         backoff: float = 0.05,
         plan: str = "fast",
-        transport: str = "auto",
     ) -> None:
         jobs = int(jobs)
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if pool not in ("thread", "process"):
             raise ConfigError(f"pool must be 'thread' or 'process', got {pool!r}")
-        if transport not in ("auto", "pickle", "shm"):
-            raise ConfigError(
-                f"transport must be 'auto', 'pickle' or 'shm', got {transport!r}"
-            )
-        if transport == "shm" and not shm_available():
-            raise ConfigError(
-                "transport='shm' requires working POSIX/Win32 shared memory "
-                "on this platform (use transport='auto' or 'pickle')"
-            )
         retries = int(retries)
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
@@ -565,7 +547,6 @@ class Engine:
             raise ConfigError(f"backoff must be >= 0, got {backoff}")
         self.jobs = jobs
         self.pool_kind = pool
-        self.transport = transport
         self._shm: SharedArena | None = None
         self.plan = normalize_plan(plan)
         self.buffer_pool = buffer_pool if buffer_pool is not None else BufferPool()
@@ -671,12 +652,8 @@ class Engine:
     # -- shared-memory data plane ------------------------------------------
 
     def _use_shm(self) -> bool:
-        """True when this engine's pool calls ride the shm transport."""
-        if self.pool_kind != "process" or self.jobs == 1:
-            return False
-        if self.transport == "pickle":
-            return False
-        return True if self.transport == "shm" else shm_available()
+        """True when this engine's pool calls stage payloads in shared memory."""
+        return self.pool_kind == "process" and self.jobs > 1 and shm_available()
 
     def _arena(self) -> SharedArena:
         # serve's event loop (body sink) and its producer threads reach
@@ -688,12 +665,12 @@ class Engine:
             return self._shm
 
     def shared_arena(self) -> SharedArena | None:
-        """The engine's shm arena when the shm transport is active.
+        """The engine's shm arena on a process pool with shared memory.
 
         :mod:`repro.serve` leases request-body segments from this so
         uploads land directly in the block a worker will attach; ``None``
-        means payloads take the pickle path and callers should not bother
-        staging.
+        (thread pools, inline runs, no shared memory) means payloads are
+        not staged and callers should not bother.
         """
         return self._arena() if self._use_shm() else None
 
@@ -743,7 +720,7 @@ class Engine:
     def _peek_decode_shape(self, blob) -> tuple[int, ...] | None:
         """Pre-size a decode output from its stream header, conservatively.
 
-        ``None`` (→ pickle transport for this stream) when the header does
+        ``None`` (→ this stream ships pickled) when the header does
         not parse, the declared output exceeds the staging cap, or it is
         implausibly large for the stream length (crafted-header guard;
         ``FZCN`` is exempt because the peek CRC-validates its whole 52-byte
@@ -998,20 +975,21 @@ class Engine:
         self, items: Iterable, encode: tuple | None = None,
         on_error: str = "raise",
     ) -> Iterator:
-        """The one transport switch: run ``items``, yield plain results in order.
+        """The one staging site: run ``items``, yield plain results in order.
 
         ``encode=None`` decodes streams into fresh arrays;
         ``encode=(eb, mode, plan)`` compresses fields into
         :class:`CompressionResult` s whose streams are ``bytes``.
         :meth:`_run_ordered` runs the tasks inline, on threads or on a
-        process pool.  On the shm transport each item is staged here behind
-        descriptors, and the worker writes its result into a leased output
-        block; an item that cannot be staged ships pickled instead, within
-        the same call.  Every block stays leased until its result slot is
-        consumed (:class:`_ShmLedger`); a decoded field that fills at least
-        half its output block is yielded as the :class:`ShmArray` view of
-        that block, which then holds it until the array and its views are
-        gone.
+        process pool.  On a process pool each item is staged here behind
+        shared-memory descriptors, and the worker writes its result into a
+        leased output block; an item that cannot be staged (see
+        :data:`MAX_SHM_STAGE_BYTES`, :meth:`_peek_decode_shape`, a failed
+        lease) ships pickled instead, within the same call.  Every block
+        stays leased until its result slot is consumed (:class:`_ShmLedger`);
+        a decoded field that fills at least half its output block is yielded
+        as the :class:`ShmArray` view of that block, which then holds it
+        until the array and its views are gone.
         """
         shm = self._use_shm()
         ledger = _ShmLedger()
@@ -1115,9 +1093,9 @@ class Engine:
         Streams from any plan are accepted — decoding dispatches on each
         stream's magic (``FZGP``/``FZIN``/``FZCN``), so mixed batches work.
         ``on_error`` behaves as in :meth:`compress_batch`.  On a process
-        pool with the shm transport an array that fills at least half of
-        the shared-memory block it was decoded into is a :class:`ShmArray`
-        view of that block; smaller ones are copied out (``docs/API.md``).
+        pool an array that fills at least half of the shared-memory block
+        it was decoded into is a :class:`ShmArray` view of that block;
+        smaller ones are copied out (``docs/API.md``).
         """
         streams = list(streams)
         with telemetry.span("engine.decompress_batch") as sp:

@@ -47,7 +47,6 @@ reads the value as ``copysign(code & 0x7FFF, int16(code))``
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from typing import Callable
@@ -251,7 +250,7 @@ _IMPLS: dict[str, Callable] = {
 
 def _resolve_impl(impl: str | None) -> Callable:
     if impl in (None, "auto"):
-        impl = os.environ.get("REPRO_INTERP_IMPL", "vectorized") or "vectorized"
+        impl = "vectorized"
     fn = _IMPLS.get(impl)
     if fn is None:
         raise ConfigError(
@@ -309,8 +308,8 @@ def interp_compress(
     """Compress ``data`` with the interpolation predictor (absolute bound).
 
     ``impl`` selects the pass implementation (``"reference"`` /
-    ``"vectorized"``; default the ``REPRO_INTERP_IMPL`` environment
-    variable, then vectorized) — output bytes are identical for both.
+    ``"vectorized"``; ``None``/``"auto"`` mean vectorized) — output bytes
+    are identical for both.
     ``scratch`` lends the pooled working buffers (a private one otherwise).
     """
     data = ensure_ndim(ensure_float32(data))

@@ -17,7 +17,7 @@ tasks).
 
 :class:`SharedArena` is the cross-*process* analogue: a refcount-leased pool
 of named ``multiprocessing.shared_memory`` segments.  The engine's
-``transport="shm"`` data plane leases blocks from it, hands workers
+process-pool data plane leases blocks from it, hands workers
 :class:`ShmDescriptor` tuples instead of pickled ndarrays, hands large
 decoded fields back as :class:`ShmArray` views of their output block, and
 unlinks every segment deterministically — the lifecycle rules are spelled
@@ -25,8 +25,8 @@ out on the class.
 
 Pooled code paths are required to be *bit-identical* to the unpooled
 reference paths — `tests/test_engine_differential.py` and
-`tests/test_engine_shm.py` enforce this across the jobs x chunking x pool x
-transport matrix.
+`tests/test_engine_shm.py` enforce this across the jobs x chunking x pool
+matrix, against the inline ``Engine(jobs=1)`` reference.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class BufferPool:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory data plane (transport="shm")
+# shared-memory data plane (process pools)
 # ---------------------------------------------------------------------------
 
 try:  # platforms without POSIX/Win32 shared memory raise on import/use
@@ -242,9 +242,9 @@ class ShmArray(np.ndarray):
     Views and row slices keep the ``shm_block`` reference, which is what
     lets the engine turn ``data[a:b]`` chunk spans of a shared-memory
     resident field into :class:`ShmDescriptor` tasks without copying.
-    Process-pool decodes on the shm transport return these for fields
-    that fill at least half their block: such an array owns its block's
-    lease (:meth:`ShmBlock.adopt`).
+    Process-pool decodes return these for fields that fill at least half
+    their block: such an array owns its block's lease
+    (:meth:`ShmBlock.adopt`).
     """
 
     def __array_finalize__(self, obj) -> None:
@@ -476,10 +476,7 @@ class SharedArena:
 
     def __init__(self) -> None:
         if _shared_memory is None or not shm_available():
-            raise ConfigError(
-                "shared memory is not available on this platform "
-                "(use transport='pickle')"
-            )
+            raise ConfigError("shared memory is not available on this platform")
         self._lock = threading.Lock()
         #: size class (block capacity) -> idle blocks of that class
         self._free: dict[int, list[ShmBlock]] = {}

@@ -1,11 +1,12 @@
 """Shared-memory data plane: byte identity, lifecycle, and leak regression.
 
-The shm transport changes *how* bytes move between the parent and process
+Shared memory changes *how* bytes move between the parent and process
 workers — never *which* bytes.  The contract under test:
 
 * **byte identity** — every entry point produces streams byte-identical to
-  the pickle transport, across jobs x pool x backend x plan, including
-  chunked containers and file streaming (descriptors point at an mmap);
+  the inline ``Engine(jobs=1)``, across pool x backend x plan, including
+  chunked containers and file streaming (descriptors point at an mmap),
+  and on a platform without shared memory, where every item ships pickled;
 * **lifecycle** — segments are leased, refcounted, and unlinked by the
   parent; a worker crash, hang, or timeout must not leak a single
   ``/dev/shm`` entry, and a timed-out task's output block is *retired*
@@ -17,7 +18,9 @@ workers — never *which* bytes.  The contract under test:
   registering, the parent is the sole unlink owner (proved by a
   ``-W error`` subprocess);
 * **hardening** — the parent-side header peek never allocates for crafted
-  headers (caps + pickle fallback).
+  headers (caps + pickled fallback);
+* **resource bounds** — repeated strict, salvage and failing decodes open
+  no file descriptor and no segment once warm.
 
 Fast-tier tests keep to one small process pool; the full differential
 matrix, chaos-plan leak regression, the soak and the serve wire path are
@@ -295,28 +298,15 @@ class TestScratch:
 
 
 # ---------------------------------------------------------------------------
-# unit: transport selection + crafted-header hardening
+# unit: which engines stage in shared memory + crafted-header hardening
 # ---------------------------------------------------------------------------
 
 
 class TestTransportKnob:
-    def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            Engine(transport="carrier-pigeon")
-
-    def test_shm_requires_platform_support(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executor.shm_available", lambda: False)
-        with pytest.raises(ConfigError):
-            Engine(jobs=2, pool="process", transport="shm")
-
     def test_thread_pool_never_uses_shm(self):
-        with Engine(jobs=2, pool="thread", transport="shm") as engine:
+        with Engine(jobs=2, pool="thread") as engine:
             assert not engine._use_shm()
             assert engine.shared_arena() is None
-
-    def test_pickle_opt_out(self):
-        with Engine(jobs=2, pool="process", transport="pickle") as engine:
-            assert not engine._use_shm()
 
     def test_auto_resolves_by_platform(self):
         with Engine(jobs=2, pool="process") as engine:
@@ -327,7 +317,7 @@ class TestDecodePeekCaps:
     """Crafted streams must not make the *parent* allocate output blocks."""
 
     def _engine(self):
-        return Engine(jobs=JOBS, pool="process", transport="shm", **FAST)
+        return Engine(jobs=JOBS, pool="process", **FAST)
 
     def test_garbage_peeks_to_none(self):
         with self._engine() as engine:
@@ -351,7 +341,7 @@ class TestDecodePeekCaps:
             assert engine._peek_decode_shape(stream) is None
 
     def test_crafted_stream_still_fails_typed(self):
-        """The pickle fallback path preserves the worker's error taxonomy."""
+        """The pickled fallback path preserves the worker's error taxonomy."""
         with self._engine() as engine:
             results = engine.decompress_batch(
                 [b"FZIN" + b"\x00" * 90], on_error="return"
@@ -361,27 +351,53 @@ class TestDecodePeekCaps:
 
 
 # ---------------------------------------------------------------------------
-# differential: shm vs pickle byte identity (fast-tier smoke + full matrix)
+# differential: process pool vs inline byte identity (fast-tier smoke + full
+# matrix)
 # ---------------------------------------------------------------------------
 
 
 def _identity_roundtrip(plan: str, backend=None):
     fields = _fields()
-    kw = dict(jobs=JOBS, pool="process", plan=plan, backend=backend, **FAST)
-    with Engine(transport="shm", **kw) as shm_eng:
+    kw = dict(plan=plan, backend=backend, **FAST)
+    with Engine(jobs=JOBS, pool="process", **kw) as shm_eng:
         shm_streams = _streams(shm_eng, fields)
         shm_back = shm_eng.decompress_batch(shm_streams)
-    with Engine(transport="pickle", **kw) as pk_eng:
-        pk_streams = _streams(pk_eng, fields)
-        pk_back = pk_eng.decompress_batch(pk_streams)
-    assert shm_streams == pk_streams
-    for a, b in zip(shm_back, pk_back):
+    with Engine(jobs=1, **kw) as ref_eng:
+        ref_streams = _streams(ref_eng, fields)
+        ref_back = ref_eng.decompress_batch(ref_streams)
+    assert shm_streams == ref_streams
+    for a, b in zip(shm_back, ref_back):
         np.testing.assert_array_equal(a, b)
 
 
 def test_batch_identity_smoke():
-    """Fast tier: one small process pool proves the transport end-to-end."""
+    """Fast tier: one small process pool proves the data plane end-to-end."""
     _identity_roundtrip("fast")
+
+
+def test_no_shared_memory_platform_matches_inline(monkeypatch):
+    """Without shared memory every item ships pickled, with the same bytes."""
+    import io
+
+    monkeypatch.setattr("repro.engine.executor.shm_available", lambda: False)
+    fields = _fields()
+    rng = np.random.default_rng(9)
+    data = np.cumsum(rng.standard_normal((96, 64)), axis=0).astype(np.float32)
+    outs = {}
+    for jobs, kw in ((2, dict(pool="process")), (1, {})):
+        with Engine(jobs=jobs, **kw, **FAST) as engine:
+            assert engine.shared_arena() is None
+            streams = _streams(engine, fields)
+            decoded = engine.decompress_batch(streams)
+            assert not any(isinstance(a, ShmArray) for a in decoded)
+            sink = io.BytesIO()
+            engine.compress_chunked_to(sink, data, EB, "rel", 1 << 13)
+            full = engine.decompress_chunked(sink.getvalue())
+            outs[jobs] = (
+                streams, [a.tobytes() for a in decoded], sink.getvalue(),
+                full.tobytes(),
+            )
+    assert outs[2] == outs[1]
 
 
 @pytest.mark.slow
@@ -403,47 +419,42 @@ def test_chunked_container_identity(plan):
     rng = np.random.default_rng(9)
     data = np.cumsum(rng.standard_normal((192, 64)), axis=0).astype(np.float32)
     outs = {}
-    for transport in ("shm", "pickle"):
+    for jobs, kw in ((JOBS, dict(pool="process")), (1, {})):
         sink = io.BytesIO()
-        with Engine(
-            jobs=JOBS, pool="process", transport=transport, **FAST
-        ) as engine:
+        with Engine(jobs=jobs, **kw, **FAST) as engine:
             engine.compress_chunked_to(sink, data, EB, "rel", 1 << 14, plan=plan)
-            outs[transport] = sink.getvalue()
-            back = engine.decompress_chunked_from(io.BytesIO(outs[transport]))
+            outs[jobs] = sink.getvalue()
+            back = engine.decompress_chunked_from(io.BytesIO(outs[jobs]))
         assert back.shape == data.shape
-    assert outs["shm"] == outs["pickle"]
+    assert outs[JOBS] == outs[1]
 
 
 @pytest.mark.slow
 def test_compress_file_identity(tmp_path):
-    """File streaming ships mmap descriptors; output must match pickle's."""
+    """File streaming ships mmap descriptors; output must match inline's."""
     rng = np.random.default_rng(13)
     data = np.cumsum(rng.standard_normal((256, 48)), axis=0).astype(np.float32)
     src = tmp_path / "field.npy"
     np.save(src, data)
     outs = {}
-    for transport in ("shm", "pickle"):
-        dst = tmp_path / f"out-{transport}.fz"
-        with Engine(
-            jobs=JOBS, pool="process", transport=transport, **FAST
-        ) as engine:
+    for jobs, kw in ((JOBS, dict(pool="process")), (1, {})):
+        dst = tmp_path / f"out-{jobs}.fz"
+        with Engine(jobs=jobs, **kw, **FAST) as engine:
             report = engine.compress_file(src, dst, EB, "rel", chunk_bytes=1 << 14)
             assert report.n_chunks >= 2
             back = engine.decompress_file(dst)
-        outs[transport] = dst.read_bytes()
+        outs[jobs] = dst.read_bytes()
         np.testing.assert_allclose(back, data, atol=2 * EB * np.ptp(data))
-    assert outs["shm"] == outs["pickle"]
+    assert outs[JOBS] == outs[1]
 
 
 @pytest.mark.slow
 def test_mixed_fallback_batch_stays_identical(monkeypatch):
     """Items that decline shm (lease failure) mix with staged ones cleanly."""
     fields = _fields(8)
-    kw = dict(jobs=JOBS, pool="process", **FAST)
-    with Engine(transport="pickle", **kw) as engine:
+    with Engine(jobs=1, **FAST) as engine:
         expect = _streams(engine, fields)
-    with Engine(transport="shm", **kw) as engine:
+    with Engine(jobs=JOBS, pool="process", **FAST) as engine:
         calls = {"n": 0}
         real = engine._try_lease
 
@@ -476,16 +487,14 @@ def test_fault_plans_do_not_leak_segments(plan):
 
     The autouse fixture asserts /dev/shm is clean afterwards; this test
     additionally proves the engine still *recovers* (or quarantines in
-    place) with the shm transport active — recovery changes wall-clock,
-    never bytes.
+    place) with shared-memory staging active — recovery changes
+    wall-clock, never bytes.
     """
     fields = _fields()
-    with Engine(jobs=JOBS, pool="process", transport="pickle", **FAST) as eng:
+    with Engine(jobs=1, **FAST) as eng:
         expect = _streams(eng, fields)
     with faults.installed(faults.FaultPlan.parse(plan)):
-        with Engine(
-            jobs=JOBS, pool="process", transport="shm", retries=3, **FAST
-        ) as engine:
+        with Engine(jobs=JOBS, pool="process", retries=3, **FAST) as engine:
             results = engine.compress_batch(fields, EB, "rel", on_error="return")
     faults.uninstall()
     for i, res in enumerate(results):
@@ -508,8 +517,7 @@ def test_timeout_retires_out_blocks():
     fields = _fields(4)
     with faults.installed(faults.FaultPlan.parse("worker_hang:at=1,hang_s=30")):
         with Engine(
-            jobs=JOBS, pool="process", transport="shm", retries=0,
-            task_timeout=1.0, **FAST
+            jobs=JOBS, pool="process", retries=0, task_timeout=1.0, **FAST
         ) as engine:
             results = engine.compress_batch(fields, EB, "rel", on_error="return")
     faults.uninstall()
@@ -536,7 +544,7 @@ from repro.engine import Engine
 rng = np.random.default_rng(0)
 fields = [np.cumsum(rng.standard_normal((24, 20)), 0).astype(np.float32)
           for _ in range(4)]
-with Engine(jobs=2, pool="process", transport="shm", backoff=0.001) as eng:
+with Engine(jobs=2, pool="process", backoff=0.001) as eng:
     streams = [r.stream for r in eng.compress_batch(fields, 1e-3, "rel")]
     back = eng.decompress_batch(streams)
 for f, b in zip(fields, back):
@@ -558,7 +566,7 @@ print("OK")
 def test_steady_state_soak_zero_growth():
     """Segment count reaches a plateau: leases recycle instead of accreting."""
     fields = _fields(4)
-    with Engine(jobs=JOBS, pool="process", transport="shm", **FAST) as engine:
+    with Engine(jobs=JOBS, pool="process", **FAST) as engine:
         _streams(engine, fields)  # warm: arena grows to working-set size
         compress_plateau = len(_segments())
         # a decode's in-flight blocks fit the compress working set; beyond
@@ -600,7 +608,7 @@ def test_arena_steady_state_after_warmup():
     from repro import telemetry
 
     fields = _mixed_fields()
-    with Engine(jobs=2, pool="process", transport="shm", **FAST) as engine:
+    with Engine(jobs=2, pool="process", **FAST) as engine:
         arena = engine.shared_arena()
         back = None
         for _ in range(2):
@@ -635,7 +643,7 @@ def test_small_decodes_do_not_pin_blocks():
         for _ in range(40)
     ]
     jobs = 2
-    with Engine(jobs=jobs, pool="process", transport="shm", **FAST) as engine:
+    with Engine(jobs=jobs, pool="process", **FAST) as engine:
         arena = engine.shared_arena()
         back = engine.decompress_batch(_streams(engine, fields))
         assert not any(isinstance(a, ShmArray) for a in back)
@@ -647,7 +655,7 @@ def test_small_decodes_do_not_pin_blocks():
 def test_decoded_result_owns_its_block():
     """A held result is untouched by later batches, then recycled."""
     fields = _mixed_fields()
-    with Engine(jobs=2, pool="process", transport="shm", **FAST) as engine:
+    with Engine(jobs=2, pool="process", **FAST) as engine:
         arena = engine.shared_arena()
         streams = _streams(engine, fields)
         held = engine.decompress_batch(streams)[1]
@@ -675,7 +683,7 @@ from repro.engine import Engine
 before = set(glob.glob("/dev/shm/psm_*"))
 rng = np.random.default_rng(3)
 field = np.cumsum(rng.standard_normal((256, 96)), 0).astype(np.float32)
-eng = Engine(jobs=2, pool="process", transport="shm", backoff=0.001)
+eng = Engine(jobs=2, pool="process", backoff=0.001)
 stream = eng.compress_batch([field], {EB}, "rel")[0].stream
 held = eng.decompress_batch([stream])[0]
 expect = np.array(held)
@@ -702,13 +710,53 @@ print("OK")
     assert "Exception ignored" not in proc.stderr
 
 
+def _open_fds() -> int | None:
+    fd_dir = "/proc/self/fd"
+    return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+
+def test_repeated_decodes_hold_fds_and_segments_steady():
+    """Fifty rounds of strict, salvage and failing decodes on a warm process
+    pool open no file descriptor and create no segment."""
+    from repro.errors import ReproError
+
+    if _open_fds() is None:
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    rng = np.random.default_rng(29)
+    data = np.cumsum(rng.standard_normal((96, 32)), axis=0).astype(np.float32)
+    crafted = [b"FZIN" + b"\x00" * 90]
+    with Engine(jobs=2, pool="process", **FAST) as engine:
+        clean = engine.compress_chunked(data, EB, chunk_bytes=4096)
+        with faults.installed(faults.FaultPlan.parse("segment_corrupt:at=1,seed=5")):
+            rotten = engine.compress_chunked(data, EB, chunk_bytes=4096)
+        assert rotten != clean
+
+        def round_trip():
+            engine.decompress_chunked(clean)
+            engine.decompress_chunked(rotten, salvage=True)
+            with pytest.raises(ReproError):
+                engine.decompress_chunked(rotten)
+            failed = engine.decompress_batch(crafted, on_error="return")
+            assert isinstance(failed[0], TaskFailure)
+
+        for _ in range(2):  # warm-up: the pool and the arena reach size
+            round_trip()
+        gc.collect()
+        fds, segments = _open_fds(), _segments()
+        for _ in range(50):
+            round_trip()
+        gc.collect()
+        assert _open_fds() == fds
+        assert _segments() == segments
+
+
 # ---------------------------------------------------------------------------
 # serve: zero-copy upload wire path
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
-def test_serve_zero_copy_bodies_match_pickle_engine():
+def test_serve_zero_copy_bodies_match_inline_engine():
     import io
 
     from repro import telemetry
@@ -718,9 +766,7 @@ def test_serve_zero_copy_bodies_match_pickle_engine():
     telemetry.enable()
     rng = np.random.default_rng(21)
     data = np.cumsum(rng.standard_normal((96, 64)), axis=0).astype(np.float32)
-    with live_server(
-        jobs=JOBS, pool="process", transport="shm", **FAST
-    ) as (server, app, engine):
+    with live_server(jobs=JOBS, pool="process", **FAST) as (server, app, engine):
         status, _, container = request(
             server.address, "POST", "/v1/compress?shape=96,64&eb=1e-3",
             body=data.tobytes(),
@@ -736,7 +782,7 @@ def test_serve_zero_copy_bodies_match_pickle_engine():
         atol=2 * EB * np.ptp(data),
     )
     sink = io.BytesIO()
-    with Engine(jobs=JOBS, pool="process", transport="pickle", **FAST) as eng:
+    with Engine(jobs=1, **FAST) as eng:
         eng.compress_chunked_to(sink, data, EB, "rel", chunk_bytes)
     assert sink.getvalue() == container
     snap = telemetry.get_recorder().snapshot()
@@ -755,7 +801,7 @@ def test_serve_sigterm_leaves_dev_shm_clean():
     before = set(_segments())
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-         "--pool", "process", "--jobs", "2", "--transport", "shm"],
+         "--pool", "process", "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH="src"),
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -816,7 +862,7 @@ from repro.engine import Engine
 rng = np.random.default_rng(0)
 fields = [np.cumsum(rng.standard_normal((24, 20)), 0).astype(np.float32)
           for _ in range(4)]
-eng = Engine(jobs=2, pool="process", transport="shm", backoff=0.001)
+eng = Engine(jobs=2, pool="process", backoff=0.001)
 {work}
 print(*eng._executor._processes, flush=True)
 time.sleep(300)

@@ -227,15 +227,15 @@ class TestInterp:
         interp = interp_compress(data, EB)
         assert interp.compressed_bytes < fast.compressed_bytes
 
-    def test_env_var_selects_impl(self, monkeypatch, rng):
+    def test_env_var_selects_nothing(self, monkeypatch, rng):
         data = rng.standard_normal(300).astype(np.float32)
-        monkeypatch.setenv("REPRO_INTERP_IMPL", "reference")
-        ref = interp_compress(data, EB).stream
-        monkeypatch.setenv("REPRO_INTERP_IMPL", "vectorized")
-        assert interp_compress(data, EB).stream == ref
+        ref = interp_compress(data, EB, impl="reference").stream
+        # the environment selects nothing: the default is always vectorized
         monkeypatch.setenv("REPRO_INTERP_IMPL", "bogus")
+        assert interp_compress(data, EB).stream == ref
+        assert interp_compress(data, EB, impl="auto").stream == ref
         with pytest.raises(ConfigError):
-            interp_compress(data, EB)
+            interp_compress(data, EB, impl="bogus")
 
     def test_stream_magic_and_plan(self, rng):
         res = interp_compress(rng.standard_normal(100).astype(np.float32), EB)

@@ -166,27 +166,26 @@ def test_progressive_final_tiles_reassemble_the_roi(case, eng):
 
 
 # ---------------------------------------------------------------------------
-# fixed legs: pools, transports, concatenated containers
+# fixed legs: pools, concatenated containers
 # ---------------------------------------------------------------------------
 
 _POOL_LEGS = [
-    pytest.param("thread", "pickle", id="thread"),
-    pytest.param("process", "pickle", id="process-pickle", marks=pytest.mark.slow),
-    pytest.param("process", "shm", id="process-shm", marks=pytest.mark.slow),
+    pytest.param("thread", id="thread"),
+    pytest.param("process", id="process", marks=pytest.mark.slow),
 ]
 
 
-@pytest.mark.parametrize("pool,transport", _POOL_LEGS)
-def test_roi_matches_across_pools_and_transports(pool, transport, rotten_pair):
+@pytest.mark.parametrize("pool", _POOL_LEGS)
+def test_roi_matches_across_pools_and_transports(pool, rotten_pair):
     data = _field((96, 48), seed=3)
-    with Engine(jobs=2, pool=pool, transport=transport, **FAST) as engine:
+    with Engine(jobs=2, pool=pool, **FAST) as engine:
         blob = engine.compress_chunked(data, EB, chunk_bytes=4096)
         full = engine.decompress_chunked(blob)
         for spec in ("0:16,0:48", "17:49,5:37", "80:96,47:48", "95:96"):
             got = engine.decompress_roi(blob, spec)
             expect = np.ascontiguousarray(full[resolve_slab(spec, full.shape).slices()])
             assert got.tobytes() == expect.tobytes()
-        # salvage, streams and tiles ride the same transport switch: every
+        # salvage, streams and tiles ride the same staging site: every
         # leg matches an inline engine byte for byte
         _, rotten = rotten_pair
         payloads = [p for _, _, p in iter_segments(io.BytesIO(blob))]
@@ -602,9 +601,7 @@ def test_http_slab_over_process_pool_shm(eng):
     data = _field((96, 32), seed=19)
     blob = eng.compress_chunked(data, EB, chunk_bytes=4096)
     full = eng.decompress_chunked(blob)
-    with live_server(
-        jobs=2, pool="process", transport="shm", **FAST
-    ) as (srv, app, engine):
+    with live_server(jobs=2, pool="process", **FAST) as (srv, app, engine):
         status, _, body = request(
             srv.address, "POST", "/v1/decompress?slab=40:72,8:24", blob
         )

@@ -72,7 +72,7 @@ def test_faults_absorbed_server_side(plan, clean_blob):
     ids=["transient", "crash-retried"],
 )
 def test_faults_absorbed_over_shm_transport(plan, clean_blob):
-    """The zero-copy transport leg: same contract, shm descriptors in play.
+    """The process-pool leg: same contract, shm descriptors in play.
 
     Recovery re-runs tasks whose shm leases were already retired; the
     client must still see one clean 200 with byte-identical output, and
@@ -85,7 +85,7 @@ def test_faults_absorbed_over_shm_transport(plan, clean_blob):
     data, expected = clean_blob
     with faults.installed(faults.FaultPlan.parse(plan)):
         with live_server(
-            jobs=2, pool="process", transport="shm", retries=3, **FAST
+            jobs=2, pool="process", retries=3, **FAST
         ) as (srv, app, engine):
             status, _, blob = http_compress(srv.address, data, 1e-3)
             assert status == 200
