@@ -257,11 +257,15 @@ class TileDecoder:
         self._literals = literals.view(_BLOCK)
         # literal-block start offset of every tile: exclusive cumsum of
         # per-tile flag popcounts, so any tile range scatters without a
-        # global pass
+        # global pass.  A tile holds 256 flags, so its popcount sums the
+        # flag bytes into a uint16 accumulator (an int64 sum of the bool
+        # flags is a buffered mixed-dtype reduction, 3x as long)
         n_tiles = encoded.n_blocks // 256
         self._lit_tile_start = np.zeros(n_tiles + 1, dtype=np.int64)
+        counts = byteflags.view(np.uint8).reshape(n_tiles, 256)
         np.cumsum(
-            byteflags.reshape(n_tiles, 256).sum(axis=1, dtype=np.int64),
+            counts.sum(axis=1, dtype=np.uint16),
+            dtype=np.int64,
             out=self._lit_tile_start[1:],
         )
 

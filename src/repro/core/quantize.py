@@ -73,17 +73,19 @@ def decode_sign_magnitude_into(
     """Branch-free signed values of sign-magnitude ``codes``, into ``out``.
 
     Equal to ``where(codes & SIGN_BIT, -mag, mag)`` with
-    ``mag = codes & MAX_MAGNITUDE``, bit for bit.  An integer ``out`` works
-    in ``int16`` with same-type loops: ``s = int16(code) >> 15`` (0 or -1)
-    goes into the ``int16`` buffer ``sign``, ``((code & 0x7FFF) ^ s) - s``
-    is computed **in place over** ``codes``, which are left holding these
-    ``int16`` values, and is then widened once into ``out``; so pass codes
-    the caller owns as scratch.  A float ``out`` leaves ``codes`` unchanged
-    and takes ``copysign(mag, int16(code))``, so code ``0x8000`` decodes to
-    ``-0.0`` as ``-mag`` does.
+    ``mag = codes & MAX_MAGNITUDE``, bit for bit.  Given an ``int16``
+    buffer ``sign``, it works in ``int16`` with same-type loops:
+    ``s = int16(code) >> 15`` (0 or -1) goes into ``sign``,
+    ``((code & 0x7FFF) ^ s) - s`` is computed **in place over** ``codes``,
+    which are left holding these ``int16`` values, and is then widened once
+    into ``out`` (integer or float); so pass codes the caller owns as
+    scratch.  Integers have no ``-0``, so this path decodes code ``0x8000``
+    to ``+0``.  Without ``sign`` (a float ``out`` only), ``codes`` stay
+    unchanged and the value is ``copysign(mag, int16(code))``, so code
+    ``0x8000`` decodes to ``-0.0`` as ``-mag`` does.
     """
     signed = codes.view(np.int16)
-    if out.dtype.kind == "f":
+    if sign is None:
         np.bitwise_and(codes, np.uint16(MAX_MAGNITUDE), out=out)
         np.copysign(out, signed, out=out)
     else:

@@ -30,18 +30,35 @@ Algorithm
 
 Two implementations are provided and are **byte-identical** by
 construction: the staged reference walks targets one hyperplane at a time;
-the vectorized fast path splits a pass's targets into at most four strided
-runs, one per prediction rule, and works on basic-slice views with pooled
-buffers.  Both apply the same float64 operations in the same order, so each
-target sees the same expression tree regardless of implementation —
-conformance is pinned by ``tests/test_planner.py``.  The fast path handles
-the sign without masked ``where=`` ufuncs: it keeps the signed ``rint``
-residual ``t``, builds codes with the int16 ``|x| | (x & 0x8000)`` trick
+the vectorized fast path predicts every target of a pass at once through
+basic-slice views and pooled buffers.  Both apply the same float64
+operations in the same order, so each target sees the same expression tree
+regardless of implementation (``* 0.0625`` is ``/ 16.0`` bit for bit) —
+conformance is pinned by ``tests/test_planner.py``.  The fast path
+predicts in one of two ways:
+
+* the finest pass along the last axis (``s = 1``) of C-contiguous arrays
+  with an even last dimension of 8 or more — half of a field's targets,
+  and 43% of the pass time of a (64, 128, 128) chunk when it ran strided —
+  runs on flat stride-2 views of the whole chunk: the cubic for every
+  target in flat order, then each row's linear head, linear tail and
+  nearest-left last target overwritten through 1-D column views, so NumPy
+  runs long 1-D loops;
+* every other pass splits its targets into at most four strided runs, one
+  per prediction rule.
+
+It handles the sign without masked ``where=`` ufuncs.  The encoder keeps
+the signed ``rint`` residual ``t``, builds codes with the int16
+``|x| | (x & 0x8000)`` trick
 (:func:`~repro.core.quantize.encode_sign_magnitude_int16`) and
-reconstructs from ``t + 0.0``, which equals the reference's
-``where(neg, -mag, mag)`` bit for bit (``-0.0`` becomes ``+0.0``); decode
-reads the value as ``copysign(code & 0x7FFF, int16(code))``
-(:func:`~repro.core.quantize.decode_sign_magnitude_into`).
+reconstructs from ``t`` itself: where ``rint`` gives ``-0.0`` the reference
+uses ``+0.0``, which differs only at a ``-0.0`` prediction, and the
+encoder never makes one (the argument is in :func:`_pass_vectorized`).
+The decoder reads each pass's codes into an int16 buffer and decodes
+``((code & 0x7FFF) ^ s) - s`` with ``s = int16(code) >> 15`` in int16,
+widened to float64 once (:func:`~repro.core.quantize.decode_sign_magnitude_into`);
+only a pass holding code ``0x8000``, which the encoder never writes, takes
+the float ``copysign`` decode, so that code still reads as ``-0.0``.
 """
 
 from __future__ import annotations
@@ -94,6 +111,8 @@ _ANCHOR_DTYPE = np.dtype("<i8")
 
 #: Hard cap on the anchor stride exponent a header may declare.
 _MAX_ANCHOR_LOG2 = 30
+#: Code 0x8000 (``-0``) read as int16; the encoder never writes it.
+_NEG_ZERO_CODE = np.iinfo(np.int16).min
 
 
 def default_anchor_log2(shape: tuple[int, ...]) -> int:
@@ -173,21 +192,61 @@ def _pass_reference(rec, src, codes, axis, s, eb2, encode, scratch):
     return n_sat, max_abs
 
 
-def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
-    """Fast path: every target of the pass through basic strided views.
+def _flat_pass(rec, src, codes, axis, s) -> bool:
+    """Whether a pass runs on flat stride-2 views of the whole chunk.
 
-    Targets sit at odd multiples of ``s`` and neighbors at even ones, so
-    reading every neighbor before writing any target matches the
-    reference's in-order walk.  Each prediction rule covers one contiguous
-    run of targets (linear head, cubic interior, linear tail, nearest-left
-    last), so all reads and writes are views; arithmetic goes through
-    pooled buffers with ``out=``, in the reference's order.
+    That is the finest pass along the last axis, of C-contiguous arrays
+    (``reshape(-1)`` of any other layout would copy) with an even last
+    dimension, so the targets are exactly the odd flat positions.  From a
+    dimension of 8 on, every row holds a cubic target.
+    """
+    d = rec.shape[-1]
+    return (
+        axis == rec.ndim - 1
+        and s == 1
+        and d % 2 == 0
+        and d >= 8
+        and all(a is None or a.flags.c_contiguous for a in (rec, src, codes))
+    )
+
+
+def _predict_flat(rec, pred, ad):
+    """Predictions of a :func:`_flat_pass`, as long 1-D loops.
+
+    The cubic runs over every target that has four in-bounds flat
+    neighbors; then each row's linear head, linear tail and nearest-left
+    last target, the targets whose flat neighbors straddle a row edge, are
+    overwritten through 1-D column views.  ``ad`` holds the cubic's
+    ``a + d``.
+    """
+    d = rec.shape[-1]
+    even = rec.reshape(-1)[::2]  # the neighbors, in flat order
+    m = pred.size
+    p = pred.reshape(-1)[1 : m - 2]
+    np.add(even[1 : m - 2], even[2 : m - 1], out=p)
+    np.multiply(p, 9.0, out=p)
+    a = ad.reshape(-1)[1 : m - 2]
+    np.add(even[: m - 3], even[3:], out=a)
+    np.subtract(p, a, out=p)
+    np.multiply(p, 0.0625, out=p)
+    rows = rec.reshape(-1, d)
+    cols = pred.reshape(-1, d // 2)
+    for k, i in ((0, 1), (d // 2 - 2, d - 3)):  # linear head and tail
+        np.add(rows[:, i - 1], rows[:, i + 1], out=cols[:, k])
+        np.multiply(cols[:, k], 0.5, out=cols[:, k])
+    np.copyto(cols[:, -1], rows[:, -2])  # nearest-left last target
+
+
+def _predict_runs(rec, pred, ad, axis, s):
+    """Predictions of any pass, one contiguous run of targets per rule.
+
+    The rules cover the linear head, the cubic interior, the linear tail
+    and the nearest-left last target, so every neighbor read is a strided
+    basic slice.  ``ad`` holds the cubic's ``a + d``.
     """
     d = rec.shape[axis]
     nd = rec.ndim
-    n_t = len(range(s, d, 2 * s))
-    if n_t == 0:
-        return 0, 0
+    n_t = pred.shape[axis]
     n_r = len(range(s, d - s, 2 * s))  # targets with a right neighbor
     n_c = max(1, len(range(s, d - 3 * s, 2 * s)))  # end of the cubic run
 
@@ -195,11 +254,6 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
         span = slice((2 * k0 + 1) * s + off, 2 * k1 * s + off, 2 * s)
         return rec[_axis_sel(nd, axis, span)]
 
-    tgt = _axis_sel(nd, axis, slice(s, d, 2 * s))
-    shape = rec[tgt].shape
-    pred = scratch.take("fzin.pred", shape, np.float64)
-    # res holds the cubic's (a + d) first, then the signed residuals
-    res = scratch.take("fzin.res", shape, np.float64)
     for k0, k1 in ((0, min(n_r, 1)), (n_c, n_r)):  # linear head and tail
         if k0 < k1:
             p = pred[_axis_sel(nd, axis, slice(k0, k1))]
@@ -209,16 +263,48 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
         p = pred[_axis_sel(nd, axis, slice(1, n_c))]
         np.add(at(1, n_c, -s), at(1, n_c, s), out=p)
         np.multiply(p, 9.0, out=p)
-        ad = res[_axis_sel(nd, axis, slice(1, n_c))]
-        np.add(at(1, n_c, -3 * s), at(1, n_c, 3 * s), out=ad)
-        np.subtract(p, ad, out=p)
-        np.divide(p, 16.0, out=p)
+        a = ad[_axis_sel(nd, axis, slice(1, n_c))]
+        np.add(at(1, n_c, -3 * s), at(1, n_c, 3 * s), out=a)
+        np.subtract(p, a, out=p)
+        np.multiply(p, 0.0625, out=p)
     if n_r < n_t:  # trailing target without a right neighbor
         np.copyto(pred[_axis_sel(nd, axis, slice(n_r, n_t))], at(n_r, n_t, -s))
-    c = codes[tgt]
+
+
+def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
+    """Fast path: every target of the pass at once, through views.
+
+    Targets sit at odd multiples of ``s`` and neighbors at even ones, so
+    reading every neighbor before writing any target matches the
+    reference's in-order walk.  Predictions come from :func:`_predict_flat`
+    when :func:`_flat_pass` allows, else from :func:`_predict_runs`; the
+    residual arithmetic then goes through pooled contiguous buffers with
+    ``out=``.  Every target keeps the reference's float64 expression tree;
+    ``* 0.0625`` is ``/ 16.0`` bit for bit, as a power of two divides
+    exactly.
+    """
+    d = rec.shape[axis]
+    nd = rec.ndim
+    if s >= d:
+        return 0, 0
+    tgt = _axis_sel(nd, axis, slice(s, d, 2 * s))
+    pred = scratch.take("fzin.pred", rec[tgt].shape, np.float64)
+    # res holds the cubic's (a + d) first, then the signed residuals
+    res = scratch.take("fzin.res", pred.shape, np.float64)
+    if _flat_pass(rec, src, codes, axis, s):
+        _predict_flat(rec, pred, res)
+        pred, res = pred.reshape(-1), res.reshape(-1)
+        rec, src, codes = (
+            None if a is None else a.reshape(-1)[1::2] for a in (rec, src, codes)
+        )
+    else:
+        _predict_runs(rec, pred, res, axis, s)
+        rec, src, codes = (None if a is None else a[tgt] for a in (rec, src, codes))
     n_sat = max_abs = 0
+    x = scratch.take("fzin.x16", res.shape, np.int16)
+    m16 = scratch.take("fzin.m16", res.shape, np.int16)
     if encode:
-        np.subtract(src[tgt], pred, out=res)
+        np.subtract(src, pred, out=res)
         np.divide(res, eb2, out=res)
         np.rint(res, out=res)
         max_abs = _max_abs(max(res.max(), -res.min()))
@@ -227,18 +313,30 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode, scratch):
             n_sat += int(np.count_nonzero(res < -MAX_MAGNITUDE))
             np.clip(res, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=res)
         # codes are built contiguous, then stored to the strided targets once
-        x = scratch.take("fzin.x16", shape, np.int16)
         np.copyto(x, res, casting="unsafe")
-        encode_sign_magnitude_int16(
-            x, x.view(np.uint16), scratch.take("fzin.m16", shape, np.uint16)
-        )
-        np.copyto(c, x.view(np.uint16))
-        # -0.0 -> +0.0, as the reference's where(neg, -mag, mag) has it
-        np.add(res, 0.0, out=res)
+        encode_sign_magnitude_int16(x, x.view(np.uint16), m16.view(np.uint16))
+        np.copyto(codes, x.view(np.uint16))
+        # No + 0.0 pass: the reference reconstructs from +0.0 where rint
+        # gives -0.0, but pred + -0.0 differs from pred + 0.0 only at
+        # pred == -0.0, and rint never gives -0.0 there.  Anchors are
+        # integers times eb2, so never -0.0, and no sum, difference or 9x
+        # of values that are not -0.0 is; only a product (x 0.5, x 0.0625)
+        # that underflows can be.  Every value stays a multiple of
+        # 2**(e - 52 - 4 * passes), e the exponent of eb2, so that needs
+        # passes > (e + 1022) / 4, at most 3 * _MAX_ANCHOR_LOG2, hence
+        # eb2 < 2**-662.  At pred == -0.0 the residual is d / eb2 for a
+        # float32 d: |d| >= 2**-149 puts it far from zero, and d == 0
+        # gives +0.0.
     else:
-        decode_sign_magnitude_into(c, res)
+        np.copyto(x, codes.view(np.int16))
+        if x.min() == _NEG_ZERO_CODE:
+            # a crafted -0 code: the float decode keeps its -0.0, which a
+            # -0.0 prediction (see test_sign_magnitude.py) would show
+            decode_sign_magnitude_into(x.view(np.uint16), res)
+        else:  # int16 decode, widened to float64 once
+            decode_sign_magnitude_into(x.view(np.uint16), res, m16)
     np.multiply(res, eb2, out=res)
-    np.add(pred, res, out=rec[tgt])
+    np.add(pred, res, out=rec)
     return n_sat, max_abs
 
 

@@ -36,8 +36,8 @@ __all__ = ["ChunkProbe", "probe_chunk", "DEFAULT_SAMPLES"]
 DEFAULT_SAMPLES = 4096
 #: Contiguous values per sample window (differences need contiguity).
 _WINDOW = 512
-#: Residual codes are clipped to this magnitude before the histogram so a
-#: pathological window cannot make ``np.unique`` arbitrarily expensive.
+#: Residual codes are clipped to this magnitude before the histogram, so
+#: a pathological window cannot make the histogram arbitrarily large.
 _CLIP = 4096
 
 
@@ -55,11 +55,24 @@ class ChunkProbe:
 
 
 def _entropy_bits(codes: np.ndarray) -> float:
-    """Shannon entropy (bits/symbol) of an integer code sample."""
+    """Shannon entropy (bits/symbol) of a code sample clipped to ``_CLIP``.
+
+    Counts with ``np.bincount`` in value order, which is the order
+    ``np.unique`` sorts them in, so the sum adds the same terms in the same
+    order.  A NaN code (from a quantization that overflowed) counts as one
+    last symbol, as ``np.unique`` sorts NaNs.
+    """
     if codes.size == 0:
         return 0.0
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / codes.size
+    nan = np.isnan(codes)
+    n_nan = int(np.count_nonzero(nan))
+    if n_nan:
+        codes = codes[~nan]
+    counts = np.bincount((codes + _CLIP).astype(np.intp))
+    counts = counts[counts > 0]
+    if n_nan:
+        counts = np.append(counts, n_nan)
+    p = counts / (codes.size + n_nan)
     return float(-(p * np.log2(p)).sum())
 
 
@@ -84,21 +97,13 @@ def probe_chunk(
     starts = np.linspace(
         0, flat.size - window, n_windows, dtype=np.int64
     )
-    eb2 = 2.0 * eb_abs
-    d1_parts: list[np.ndarray] = []
-    d2_parts: list[np.ndarray] = []
-    sampled = 0
-    for s in starts:
-        win = flat[int(s) : int(s) + window].astype(np.float64)
-        q = np.rint(win / eb2)
-        sampled += q.size
-        if q.size >= 2:
-            d1_parts.append(np.clip(np.diff(q), -_CLIP, _CLIP))
-        if q.size >= 3:
-            half_d2 = np.rint((q[2:] - 2.0 * q[1:-1] + q[:-2]) * 0.5)
-            d2_parts.append(np.clip(half_d2, -_CLIP, _CLIP))
-    d1 = np.concatenate(d1_parts) if d1_parts else np.empty(0)
-    d2 = np.concatenate(d2_parts) if d2_parts else np.empty(0)
+    # the sample windows as one (n_windows, window) block, differenced
+    # along axis 1
+    idx = starts[:, None] + np.arange(window)
+    q = np.rint(flat[idx].astype(np.float64) / (2.0 * eb_abs))
+    d1 = np.clip(np.diff(q, axis=1), -_CLIP, _CLIP).reshape(-1)
+    half_d2 = np.rint((q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) * 0.5)
+    d2 = np.clip(half_d2, -_CLIP, _CLIP).reshape(-1)
     zero_fraction = (
         float(np.count_nonzero(d1 == 0)) / d1.size if d1.size else 1.0
     )
@@ -109,5 +114,5 @@ def probe_chunk(
         zero_fraction=zero_fraction,
         lorenzo_bits=_entropy_bits(d1),
         interp_bits=_entropy_bits(d2),
-        n_sampled=sampled,
+        n_sampled=q.size,
     )

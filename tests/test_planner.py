@@ -25,7 +25,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
@@ -56,6 +56,7 @@ from repro.planner import (
     plan_name,
     probe_chunk,
 )
+from repro.planner.probe import DEFAULT_SAMPLES
 
 EB = 1e-3
 
@@ -146,6 +147,80 @@ class TestProbe:
     def test_sample_budget_respected(self):
         p = probe_chunk(_rough(1 << 18), EB, max_samples=1024)
         assert 0 < p.n_sampled <= 1024
+
+
+def _probe_loop_oracle(data, eb_abs, max_samples=DEFAULT_SAMPLES):
+    """``probe_chunk`` as it was before it was vectorized: one Python-level
+    window at a time, histograms by ``np.unique``."""
+
+    def entropy_bits(codes):
+        if codes.size == 0:
+            return 0.0
+        _, counts = np.unique(codes, return_counts=True)
+        p = counts / codes.size
+        return float(-(p * np.log2(p)).sum())
+
+    flat = np.asarray(data).reshape(-1)
+    if flat.size == 0:
+        return ChunkProbe(0.0, 0.0, True, 1.0, 0.0, 0.0, 0)
+    lo, hi = float(flat.min()), float(flat.max())
+    if math.isfinite(lo) and math.isfinite(hi) and hi - lo <= 2.0 * eb_abs:
+        return ChunkProbe(lo, hi, True, 1.0, 0.0, 0.0, 0)
+    window = min(512, flat.size)
+    n_windows = max(1, min(max_samples // window, flat.size // window))
+    starts = np.linspace(0, flat.size - window, n_windows, dtype=np.int64)
+    d1_parts, d2_parts, sampled = [], [], 0
+    for s in starts:
+        win = flat[int(s) : int(s) + window].astype(np.float64)
+        q = np.rint(win / (2.0 * eb_abs))
+        sampled += q.size
+        if q.size >= 2:
+            d1_parts.append(np.clip(np.diff(q), -4096, 4096))
+        if q.size >= 3:
+            half_d2 = np.rint((q[2:] - 2.0 * q[1:-1] + q[:-2]) * 0.5)
+            d2_parts.append(np.clip(half_d2, -4096, 4096))
+    d1 = np.concatenate(d1_parts) if d1_parts else np.empty(0)
+    d2 = np.concatenate(d2_parts) if d2_parts else np.empty(0)
+    zero_fraction = (
+        float(np.count_nonzero(d1 == 0)) / d1.size if d1.size else 1.0
+    )
+    return ChunkProbe(
+        lo, hi, False, zero_fraction, entropy_bits(d1), entropy_bits(d2), sampled
+    )
+
+
+def _probe_inputs():
+    rng = np.random.default_rng(2024)
+    walk = np.cumsum(rng.standard_normal((24, 40, 33)), axis=2)
+    spiky = _rough(5000)
+    spiky[::97] = np.inf
+    spiky[5] = np.nan
+    return {
+        "random": rng.random(70_000).astype(np.float32),
+        "rough": _rough(1 << 16),
+        "walk3d": walk.astype(np.float32),
+        "fortran": np.asfortranarray(walk).astype(np.float32),
+        "smooth": _smooth(),
+        "constant": np.full((30, 40), -1.5, np.float32),
+        "n1": _rough(1),
+        "n2": _rough(2),
+        "n3": _rough(3),
+        "n300": _rough(300),
+        "n511": _rough(511),
+        "n513": _rough(513),
+        "nonfinite": spiky,
+    }
+
+
+@pytest.mark.parametrize("name", list(_probe_inputs()))
+@pytest.mark.parametrize("eb", [1e-4, EB, 0.5, 1e-40])
+def test_probe_matches_loop_oracle(name, eb):
+    """The vectorized probe equals the per-window loop field for field
+    (repr compares floats bit for bit, NaN and signed zero included)."""
+    data = _probe_inputs()[name]
+    for max_samples in (DEFAULT_SAMPLES, 1000):
+        got = probe_chunk(data, eb, max_samples)
+        assert repr(got) == repr(_probe_loop_oracle(data, eb, max_samples))
 
 
 class TestDecide:
@@ -315,8 +390,29 @@ def _interp_cases(draw):
     return data, eb, anchor_log2, spiked
 
 
+def _pass_case(shape, order, anchor_log2=2, eb=1e-3):
+    """A smooth field for an explicit identity example."""
+    rng = np.random.default_rng(sum(shape))
+    data = rng.standard_normal(shape)
+    for axis in range(len(shape)):
+        data = np.cumsum(data, axis=axis)
+    data = np.asarray(data.astype(np.float32), order=order)
+    return data, eb, anchor_log2, False
+
+
 @given(case=_interp_cases())
 @settings(max_examples=_IDENTITY_EXAMPLES, deadline=None)
+# the finest last-axis pass runs on flat views for a C-contiguous field of
+# even last dimension 8 or more, else on the strided runs
+@example(case=_pass_case((6, 16), "C"))
+@example(case=_pass_case((3, 5, 8), "C", anchor_log2=3))
+@example(case=_pass_case((40,), "C", anchor_log2=1))
+@example(case=_pass_case((5, 9, 10), "C"))
+@example(case=_pass_case((7, 9), "C"))
+@example(case=_pass_case((4, 6), "C"))
+@example(case=_pass_case((6, 16), "F"))
+@example(case=_pass_case((5, 11, 12), "F"))
+@example(case=_pass_case((3, 17), "F"))
 def test_interp_impls_identical(case):
     """impl="vectorized" matches the reference oracle byte for byte."""
     data, eb, anchor_log2, spiked = case

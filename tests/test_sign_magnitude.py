@@ -150,14 +150,19 @@ def test_decoders_decode_in_place_only_over_their_scratch(monkeypatch):
     assert calls and all(calls)
 
 
-def _fzin_stream(codes: np.ndarray, eb_abs: float, anchor_log2: int) -> bytes:
-    """A CRC-valid FZIN stream of all-zero anchors around ``codes``."""
+def _fzin_stream(
+    codes: np.ndarray, eb_abs: float, anchor_log2: int, anchors=None
+) -> bytes:
+    """A CRC-valid FZIN stream of ``anchors`` (default all zero) around
+    ``codes``."""
     n = codes.size
     padded = np.zeros(n + (-n) % TILE_CODES, np.uint16)
     padded[:n] = codes.reshape(-1)
     encoded = join_tiles([encode_tiles(padded, Scratch())])
     grid = interp._anchor_grid_shape(codes.shape, anchor_log2)
-    anchors = np.zeros(grid, dtype=interp._ANCHOR_DTYPE)
+    if anchors is None:
+        anchors = np.zeros(grid)
+    anchors = np.asarray(anchors, dtype=interp._ANCHOR_DTYPE).reshape(grid)
     header = struct.pack(
         interp._HEADER_FMT,
         interp.INTERP_MAGIC,
@@ -182,22 +187,87 @@ def _fzin_stream(codes: np.ndarray, eb_abs: float, anchor_log2: int) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def test_fzin_negative_zero_code_decodes_identically():
-    """Code 0x8000 (-0) decodes bit-identically under both pass impls."""
+def test_fzin_negative_zero_code_decodes_identically(monkeypatch):
+    """Code 0x8000 (-0) decodes bit-identically under both pass impls.
+
+    Even last dimensions of 8 or more run the finest last-axis pass on
+    flat views, with 0x8000 codes on its targets (every odd column).
+    """
+    flat_calls = []
+    predict_flat = interp._predict_flat
+    monkeypatch.setattr(
+        interp, "_predict_flat",
+        lambda *args: flat_calls.append(1) or predict_flat(*args),
+    )
     anchor_log2 = 2
-    shape = (9, 13)
-    rng = np.random.default_rng(8000)
-    codes = rng.integers(0, 4, shape).astype(np.uint16)
-    codes[rng.random(shape) < 0.5] |= SIGN_BIT
-    codes[::2, 1::2] = SIGN_BIT
     s0 = 1 << anchor_log2
-    codes[::s0, ::s0] = 0  # anchor positions carry no residual
-    assert np.count_nonzero(codes == SIGN_BIT) > 10
-    stream = _fzin_stream(codes, 0.5, anchor_log2)
-    assert interp_info(stream)["shape"] == shape
+    for shape in ((9, 13), (9, 16), (3, 5, 16)):
+        rng = np.random.default_rng(8000)
+        codes = rng.integers(0, 4, shape).astype(np.uint16)
+        codes[rng.random(shape) < 0.5] |= SIGN_BIT
+        codes[..., ::2, 1::2] = SIGN_BIT
+        codes[(slice(None, None, s0),) * len(shape)] = 0  # anchors: no residual
+        assert np.count_nonzero(codes == SIGN_BIT) > 10
+        stream = _fzin_stream(codes, 0.5, anchor_log2)
+        assert interp_info(stream)["shape"] == shape
+        flat_calls.clear()
+        ref = interp_decompress(stream, impl="reference")
+        vec = interp_decompress(stream, impl="vectorized")
+        assert np.array_equal(ref.view(np.uint32), vec.view(np.uint32))
+        assert len(flat_calls) == (shape[-1] % 2 == 0)
+
+
+@pytest.mark.parametrize("shape", [(8,), (9,)], ids=str)
+def test_fzin_negative_zero_code_on_a_negative_zero_prediction(shape):
+    """The one place a -0 code shows: a -0.0 prediction, which a crafted
+    stream makes by underflow.  At eb = 5e-324 (2 * eb = 2**-1073) the
+    anchors 0 and -1 predict -2**-1074 at 2 and -0.0 at 1; -0.0 + -0.0 is
+    -0.0, where an int16 decode's +0 would give +0.0.
+    """
+    codes = np.zeros(shape, np.uint16)
+    codes[1] = SIGN_BIT
+    grid = interp._anchor_grid_shape(shape, 2)
+    anchors = np.zeros(grid)
+    anchors[1] = -1
+    stream = _fzin_stream(codes, 5e-324, 2, anchors)
     ref = interp_decompress(stream, impl="reference")
     vec = interp_decompress(stream, impl="vectorized")
+    assert np.signbit(ref[1]) and ref[1] == 0
     assert np.array_equal(ref.view(np.uint32), vec.view(np.uint32))
+
+
+#: (eb, tiny negative): rint gives -0.0 for -0.3 quanta at eb = 1e-3 and
+#: for -0.6 / 2e300 at eb = 1e300; at eb = 5e-324 every nonzero float32
+#: saturates, and -0.0 data gives -0.0 residuals at every eb
+_SIGNED_ZERO_CASES = [(1e-3, -0.3 * 2e-3), (5e-324, -1e-45), (1e300, -0.6)]
+
+
+@pytest.mark.parametrize("eb, tiny", _SIGNED_ZERO_CASES, ids=str)
+@pytest.mark.parametrize("shape", [(700,), (24, 40), (6, 10, 16)], ids=str)
+def test_fzin_encoder_never_writes_negative_zero(shape, eb, tiny):
+    """The invariant that lets the vectorized encoder drop its + 0.0 pass:
+    no code 0x8000 and no -0.0 in ``rec``, though rint gives -0.0
+    residuals.  The field mixes +0.0, -0.0 and tiny negatives; anchor
+    positions hold zeros, so no anchor overflows int64.
+    """
+    rng = np.random.default_rng(0x8000)
+    data = np.zeros(shape, np.float32)
+    pick = rng.random(shape)
+    data[pick < 0.4] = -0.0
+    data[pick > 0.7] = tiny
+    asel = (slice(None, None, 16),) * len(shape)
+    data[asel] = 0.0
+    assert np.count_nonzero(np.signbit(data)) > data.size // 2
+    ref = interp_compress(data, eb, impl="reference")
+    for impl in ("reference", "vectorized"):
+        scratch = Scratch()
+        got = interp_compress(data, eb, impl=impl, scratch=scratch)
+        assert got.stream == ref.stream
+        n = data.size
+        codes = scratch.take("fzin.codes", (n,), np.uint16)
+        rec = scratch.take("fzin.rec", shape, np.float64)
+        assert not np.any(codes == SIGN_BIT)
+        assert not np.any(np.signbit(rec) & (rec == 0))
 
 
 # ---------------------------------------------------------------------------
