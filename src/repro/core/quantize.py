@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DecompressionError
+from repro.errors import ConfigError, DecompressionError
 from repro.lorenzo import lorenzo_delta_chunked, lorenzo_reconstruct_chunked
 from repro.utils.chunking import block_view, chunk_shape_for, unblock_view
 from repro.utils.validation import ensure_float32, ensure_positive
@@ -119,6 +119,28 @@ class QuantizerStats:
     max_abs_delta: int
 
 
+#: Exclusive bound on ``|round(d / (2*eb))|`` before the cast to int64: a
+#: 3-D Lorenzo difference sums eight such terms, and ``8 * |q| < 2**63``
+#: keeps every one of them exact.
+QUANT_LIMIT = float(2**60)
+
+
+def check_quantized(q: np.ndarray, eb: float) -> np.ndarray:
+    """Return the rounded quotients ``q``, or raise :class:`ConfigError`
+    when ``eb`` is too small for them to fit int64 arithmetic.
+
+    Without this the float64 -> int64 cast overflows silently (NumPy only
+    warns) and the stream decodes far outside the bound.
+    """
+    peak = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
+    if not peak < QUANT_LIMIT:
+        raise ConfigError(
+            f"error bound {eb:g} is too small for this data: a value "
+            f"quantizes to {peak:.3g} steps, over the 2**60 limit"
+        )
+    return q
+
+
 def prequantize(data: np.ndarray, eb: float) -> np.ndarray:
     """Pre-quantization ``q = round(d / (2*eb))`` — the only lossy operation.
 
@@ -137,7 +159,8 @@ def prequantize(data: np.ndarray, eb: float) -> np.ndarray:
     data = ensure_float32(data)
     eb = ensure_positive(eb, "eb")
     # float64 intermediate so the rounding grid is exact even for large |d|/eb.
-    return np.rint(data.astype(np.float64) / (2.0 * eb)).astype(np.int64)
+    q = np.rint(data.astype(np.float64) / (2.0 * eb))
+    return check_quantized(q, eb).astype(np.int64)
 
 
 def dequantize(q: np.ndarray, eb: float) -> np.ndarray:

@@ -1110,9 +1110,9 @@ class Engine:
         Unlike :meth:`decompress_batch` this is a generator: each array is
         yielded as soon as it (and everything before it) completes, and
         ``streams`` itself is consumed incrementally — at most one retry
-        window of payloads is in flight at a time.  This is the serving
-        fast path: :mod:`repro.serve` feeds container segments in and flushes
-        each decoded chunk to the client before the next finishes.
+        window of payloads is in flight at a time.  It decodes bare streams;
+        container decodes (including every :mod:`repro.serve` decode) walk
+        the container index through :meth:`iter_roi_tiles` instead.
         """
         with telemetry.span("engine.decompress_stream") as sp:
             n = 0
@@ -1266,42 +1266,25 @@ class Engine:
             telemetry.counter("roi.chunks_skipped", plan.n_skipped)
         return plan
 
-    @staticmethod
-    def _roi_fill(task, payload: bytes) -> np.float32:
-        """Fill value of a constant segment, cross-checked against the index.
-
-        ``FZCN`` segments are the ROI fast path: their 52-byte stream is
-        fully CRC-validated by :func:`~repro.planner.constant_info` and the
-        sub-slab is synthesized directly — no pool round-trip, no full
-        chunk materialization.
-        """
-        info = constant_info(payload)
-        check_consistent(
-            tuple(info["shape"]) == task.chunk_shape,
-            f"constant segment declares shape {tuple(info['shape'])}, "
-            f"container index declares {task.chunk_shape}",
-        )
-        return np.float32(info["fill"])
-
-    def _scatter(
+    def _walk(
         self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False,
-        roi: bool = False,
-    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
-        """The decode core: read, decode and scatter every task of ``plan``.
+        previews: bool = False,
+    ) -> Iterator[tuple]:
+        """The one segment walk: read, fill, decode and slice ``plan``'s tasks.
 
-        Segments are read and CRC-checked in file order; constant segments
-        are filled in place and the rest decode through :meth:`_dispatch`.
-        Each decoded chunk is written into the output as it arrives, so at
-        most one ``_run_ordered`` window of chunks is alive at a time.
-        Strict mode raises the first failure with the usual taxonomy;
-        ``salvage=True`` NaN-fills that task's rows and records why in the
-        :class:`~repro.engine.container.SalvageReport` (always complete in
-        strict mode).  ``roi=True`` emits the ``roi.*`` counters.
+        Every task's payload is read and CRC-checked in file order before
+        this returns, so a damaged segment fails a strict read here, before
+        anything is yielded.  The returned generator then yields one
+        ``(task, level, final, tile)`` per task, ``tile`` being a view of the
+        task's rows.  A constant (``FZCN``) segment is synthesized from its
+        fully CRC-validated 52-byte stream, with no pool round-trip (level
+        0, final).  With ``previews=True`` an ``FZIN`` segment first yields
+        its anchor-grid preview (level 0, not final).  Everything else
+        decodes through :meth:`_dispatch` (level 1, final), so at most one
+        ``_run_ordered`` window of chunks is alive at a time.  Strict mode
+        raises the first failure with the usual taxonomy; ``salvage=True``
+        yields the failure as that task's ``tile`` instead.
         """
-        if salvage:
-            out = np.full(plan.out_shape, np.nan, dtype=np.float32)
-        else:
-            out = np.empty(plan.out_shape, dtype=np.float32)
         payloads: list[bytes | None] = []
         for task in plan.tasks:
             try:
@@ -1312,46 +1295,79 @@ class Engine:
                 if not salvage:
                     raise
                 payloads.append(None)
-        decoded = self._dispatch(
-            (p for p in payloads if p is not None and p[:4] != CONSTANT_MAGIC),
-            on_error="return" if salvage else "raise",
-        )
+
+        def rows(task, chunk: np.ndarray, what: str) -> np.ndarray:
+            check_consistent(
+                tuple(chunk.shape) == task.chunk_shape,
+                f"{what} shape {tuple(chunk.shape)} does not match container "
+                f"index {task.chunk_shape}",
+            )
+            return chunk[task.local]
+
+        def tiles():
+            decoded = self._dispatch(
+                (p for p in payloads if p is not None and p[:4] != CONSTANT_MAGIC),
+                on_error="return" if salvage else "raise",
+            )
+            try:
+                for task, payload in zip(plan.tasks, payloads):
+                    try:
+                        if payload is None:
+                            raise FormatError("segment corrupt or missing")
+                        if payload[:4] == CONSTANT_MAGIC:
+                            info = constant_info(payload)
+                            fill = np.broadcast_to(
+                                np.float32(info["fill"]), tuple(info["shape"])
+                            )
+                            yield task, 0, True, rows(task, fill, "constant segment")
+                            continue
+                        if previews and payload[:4] == INTERP_MAGIC:
+                            preview = interp_preview(payload)
+                            yield task, 0, False, rows(task, preview, "FZIN preview")
+                        chunk = next(decoded)
+                        if isinstance(chunk, TaskFailure):
+                            raise DecompressionError(
+                                f"payload decode failed: {chunk.error_type}"
+                            )
+                        yield task, 1, True, rows(task, chunk, "decoded")
+                    except ReproError as exc:
+                        if not salvage:
+                            raise
+                        yield task, 1, True, exc
+            finally:
+                decoded.close()
+
+        return tiles()
+
+    def _scatter(
+        self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False,
+        roi: bool = False,
+    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
+        """The decode core: write every :meth:`_walk` tile into one array.
+
+        Strict mode raises the first failure; ``salvage=True`` NaN-fills
+        that task's rows and records why in the
+        :class:`~repro.engine.container.SalvageReport` (always complete in
+        strict mode).  ``roi=True`` emits the ``roi.*`` counters.
+        """
+        if salvage:
+            out = np.full(plan.out_shape, np.nan, dtype=np.float32)
+        else:
+            out = np.empty(plan.out_shape, dtype=np.float32)
         outcomes: list[fzmc.SegmentOutcome] = []
         recovered = filled = 0
-        try:
-            for task, payload in zip(plan.tasks, payloads):
-                try:
-                    if payload is None:
-                        raise FormatError("segment corrupt or missing")
-                    if payload[:4] == CONSTANT_MAGIC:
-                        tile = self._roi_fill(task, payload)
-                        filled += 1
-                    else:
-                        tile = next(decoded)
-                        if isinstance(tile, TaskFailure):
-                            raise DecompressionError(
-                                f"payload decode failed: {tile.error_type}"
-                            )
-                        check_consistent(
-                            tuple(tile.shape) == task.chunk_shape,
-                            f"decoded shape {tuple(tile.shape)} does not "
-                            f"match declared {task.chunk_shape}",
-                        )
-                        tile = tile[task.local]
-                except ReproError as exc:
-                    if not salvage:
-                        raise
-                    outcomes.append(fzmc.SegmentOutcome(
-                        task.ordinal, task.rows, task.tile_bytes, "lost", str(exc)
-                    ))
-                    continue
-                out[task.out_row0 : task.out_row0 + task.rows] = tile
-                recovered += task.tile_bytes
+        for task, level, _, tile in self._walk(fileobj, plan, salvage):
+            if isinstance(tile, ReproError):
                 outcomes.append(fzmc.SegmentOutcome(
-                    task.ordinal, task.rows, task.tile_bytes, "recovered"
+                    task.ordinal, task.rows, task.tile_bytes, "lost", str(tile)
                 ))
-        finally:
-            decoded.close()
+                continue
+            out[task.out_row0 : task.out_row0 + task.rows] = tile
+            filled += level == 0
+            recovered += task.tile_bytes
+            outcomes.append(fzmc.SegmentOutcome(
+                task.ordinal, task.rows, task.tile_bytes, "recovered"
+            ))
         total = int(out.nbytes)
         report = fzmc.SalvageReport(
             shape=plan.out_shape,
@@ -1432,62 +1448,27 @@ class Engine:
         if isinstance(source, (bytes, bytearray, memoryview)):
             source = BytesIO(source)
         plan = self._roi_read_plan(source, slab)
-        payloads = [
-            fzmc.read_segment_payload(
-                source, task.container_start, task.entry, task.seg_ordinal
-            )
-            for task in plan.tasks
-        ]
-        return self._roi_tile_gen(plan, payloads)
+        return self._roi_tile_gen(self._walk(source, plan, previews=True))
 
-    def _roi_tile_gen(
-        self, plan: RoiPlan, payloads: list[bytes]
-    ) -> Iterator[RoiTile]:
+    def _roi_tile_gen(self, items: Iterator[tuple]) -> Iterator[RoiTile]:
+        """Wrap :meth:`_walk` items as contiguous :class:`RoiTile` s."""
         telem = telemetry.enabled()
-
-        def tile(level: int, final: bool, task, data: np.ndarray) -> RoiTile:
-            if telem:
-                telemetry.counter(
-                    "roi.tiles", 1,
-                    {"level": str(level), "final": str(final).lower()},
-                )
-            return RoiTile(level, final, task.out_row0, data)
-
-        results = self.decompress_stream(
-            [p for p in payloads if p[:4] != CONSTANT_MAGIC]
-        )
         filled = n_decoded = 0
         try:
-            for task, payload in zip(plan.tasks, payloads):
-                if payload[:4] == CONSTANT_MAGIC:
-                    fill = self._roi_fill(task, payload)
-                    filled += 1
-                    yield tile(
-                        0, True, task,
-                        np.full(task.tile_shape, fill, dtype=np.float32),
+            for task, level, final, data in items:
+                if telem:
+                    telemetry.counter(
+                        "roi.tiles", 1,
+                        {"level": str(level), "final": str(final).lower()},
                     )
-                    continue
-                if payload[:4] == INTERP_MAGIC:
-                    preview = interp_preview(payload)
-                    check_consistent(
-                        tuple(preview.shape) == task.chunk_shape,
-                        f"FZIN preview shape {tuple(preview.shape)} does not "
-                        f"match container index {task.chunk_shape}",
-                    )
-                    yield tile(
-                        0, False, task,
-                        np.ascontiguousarray(preview[task.local]),
-                    )
-                arr = next(results)
-                check_consistent(
-                    tuple(arr.shape) == task.chunk_shape,
-                    f"chunk decoded to shape {tuple(arr.shape)}, container "
-                    f"index declares {task.chunk_shape}",
+                filled += level == 0 and final
+                n_decoded += level == 1
+                yield RoiTile(
+                    level, final, task.out_row0,
+                    np.require(data, requirements="CWE"),
                 )
-                n_decoded += 1
-                yield tile(1, True, task, np.ascontiguousarray(arr[task.local]))
         finally:
-            results.close()
+            items.close()
             if telem:
                 telemetry.counter("roi.chunks_decoded", n_decoded)
                 telemetry.counter("roi.chunks_filled", filled)

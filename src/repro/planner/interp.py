@@ -80,6 +80,7 @@ from repro.core.quantize import (
     MAX_MAGNITUDE,
     SIGN_BIT,
     QuantizerStats,
+    check_quantized,
     decode_sign_magnitude_into,
     encode_sign_magnitude_int16,
 )
@@ -428,7 +429,9 @@ def interp_compress(
         codes = padded[:n].reshape(data.shape)
         s0 = 1 << anchor_log2
         asel = tuple(slice(None, None, s0) for _ in range(data.ndim))
-        anchors = np.rint(data[asel].astype(np.float64) / eb2).astype(np.int64)
+        anchors = check_quantized(
+            np.rint(data[asel].astype(np.float64) / eb2), eb_abs
+        ).astype(np.int64)
         rec[asel] = anchors.astype(np.float64) * eb2
         codes[asel] = 0
         # data stays float32: it promotes exactly inside the float64 ufuncs

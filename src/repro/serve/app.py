@@ -11,9 +11,13 @@ PRs and is *reused* here rather than reimplemented:
   is streamed back segment-by-segment as worker tasks complete (a producer
   thread drives the engine; completed bytes cross into the event loop via
   ``call_soon_threadsafe``).
-* **Decompression** parses the container index up front (typed 4xx on
-  malformed framing, via the same BoundedReader-hardened parsers the CLI
-  uses) and streams decoded chunks through ``Engine.decompress_stream``.
+* **Decompression** is one handler with or without ``?slab=``: it plans
+  the read on the container index up front with :func:`~repro.roi.plan_roi`
+  (typed 4xx on malformed framing or slabs, via the same
+  BoundedReader-hardened parsers the CLI uses), then streams the final
+  tiles of ``Engine.iter_roi_tiles``.  A full decode is a full-slab ROI
+  read: constant segments are synthesized from their header, and interp
+  segments also compute the anchor-grid preview that the wire drops.
 * **Fault tolerance** is the engine's own retry/quarantine/pool-rebuild
   machinery: a worker crash mid-request surfaces as a typed 5xx with a
   structured JSON body — or, after response headers are already out, as a
@@ -72,6 +76,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.planner import SERVE_PLANS, plan_name
+from repro.roi import plan_roi
 from repro.serve.http import (
     HttpError,
     Limits,
@@ -624,23 +629,48 @@ class App:
             work, [("Content-Type", "application/x-fz-container")]
         )
 
-    async def _parsed_container(self, body: bytes):
-        """Run :meth:`_parse_container` on a worker thread.
+    async def _decompress(self, request: Request) -> Response:
+        """Container decode: ``POST /v1/decompress[?slab=start:stop,...]``.
 
-        Parsing copies every segment payload of a body that may be hundreds
-        of MiB; doing it inline would stall every other connection
-        (including ``/healthz``) for the duration.
+        A full decode is a full-slab ROI read.  Planning runs up front on a
+        worker thread, so a malformed container or slab (empty, out of
+        range, too many axes) surfaces as a typed 400 *before* any headers
+        go out, and only the segments whose row span intersects the slab
+        are ever read or decoded.  The body then streams the final tile of
+        each intersecting segment (the exact slab bytes, row-major, in
+        order), so first bytes reach the client as soon as the first
+        segment decodes.
         """
+        body = request.body
+        slab = request.query.get("slab")
+        spec = () if slab is None else slab
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._parse_container, body)
+        plan = await loop.run_in_executor(
+            None, lambda: plan_roi(fzmc.read_containers(BytesIO(body)), spec)
+        )
+        headers = [
+            ("Content-Type", "application/octet-stream"),
+            ("X-Repro-Dtype", "float32"),
+            ("X-Repro-Shape", ",".join(str(n) for n in plan.out_shape)),
+        ]
+        if slab is not None:
+            self.recorder.counter("serve.roi_requests")
+            headers.append(("X-Repro-Slab", plan.slab.text()))
 
-    def _parse_container(self, body: bytes):
-        """Read container indexes + per-segment payloads (typed 4xx on damage)."""
+        def work(stream: _Stream) -> None:
+            for tile in self.engine.iter_roi_tiles(BytesIO(body), spec):
+                if tile.final:
+                    stream.push(tile.data.tobytes())
+
+        return await self._streamed(work, headers)
+
+    @staticmethod
+    def _check_container(body: bytes) -> list:
+        """Container indexes, with every segment's CRC and the stitched
+        trailing dims checked (typed 4xx on damage)."""
         fileobj = BytesIO(body)
         indexes = fzmc.read_containers(fileobj)
         tail = indexes[0].shape[1:]
-        payloads: list[bytes] = []
-        extents: list[tuple[int, ...]] = []
         start = 0
         for idx in indexes:
             if idx.shape[1:] != tail:
@@ -649,80 +679,17 @@ class App:
                     f"{idx.shape[1:]} vs {tail}"
                 )
             for ordinal, entry in enumerate(idx.segments):
-                payloads.append(
-                    fzmc.read_segment_payload(fileobj, start, entry, ordinal)
-                )
-                extents.append((entry.extent,) + tail)
+                fzmc.read_segment_payload(fileobj, start, entry, ordinal)
             start += idx.container_bytes
-        return indexes, payloads, extents
-
-    async def _decompress(self, request: Request) -> Response:
-        slab_text = request.query.get("slab")
-        if slab_text is not None:
-            return await self._decompress_roi(request, slab_text)
-        indexes, payloads, extents = await self._parsed_container(request.body)
-        total_rows = sum(idx.shape[0] for idx in indexes)
-        shape = (total_rows,) + indexes[0].shape[1:]
-
-        def work(stream: _Stream) -> None:
-            for expected, arr in zip(
-                extents, self.engine.decompress_stream(payloads)
-            ):
-                if tuple(arr.shape) != tuple(expected):
-                    raise DecompressionError(
-                        f"chunk decoded to shape {tuple(arr.shape)}, container "
-                        f"index declares {tuple(expected)}"
-                    )
-                stream.push(arr.tobytes())
-
-        return await self._streamed(
-            work,
-            [
-                ("Content-Type", "application/octet-stream"),
-                ("X-Repro-Dtype", "float32"),
-                ("X-Repro-Shape", ",".join(str(n) for n in shape)),
-            ],
-        )
-
-    async def _decompress_roi(self, request: Request, slab_text: str) -> Response:
-        """Hyperslab decode: ``POST /v1/decompress?slab=start:stop,...``.
-
-        Planning runs up front on a worker thread — a malformed container
-        or slab (empty, out of range, too many axes) surfaces as a typed
-        400 *before* any headers go out, and only the segments whose row
-        span intersects the slab are ever read or decoded.  The body then
-        streams one tile per intersecting segment (the exact slab bytes,
-        row-major, in order), so first bytes reach the client as soon as
-        the first segment decodes.
-        """
-        body = request.body
-        loop = asyncio.get_running_loop()
-
-        def plan():
-            from repro.roi import plan_roi
-
-            return plan_roi(fzmc.read_containers(BytesIO(body)), slab_text)
-
-        roi_plan = await loop.run_in_executor(None, plan)
-        self.recorder.counter("serve.roi_requests")
-
-        def work(stream: _Stream) -> None:
-            for tile in self.engine.iter_roi_tiles(BytesIO(body), slab_text):
-                if tile.final:
-                    stream.push(tile.data.tobytes())
-
-        return await self._streamed(
-            work,
-            [
-                ("Content-Type", "application/octet-stream"),
-                ("X-Repro-Dtype", "float32"),
-                ("X-Repro-Shape", ",".join(str(n) for n in roi_plan.out_shape)),
-                ("X-Repro-Slab", roi_plan.slab.text()),
-            ],
-        )
+        return indexes
 
     async def _info(self, request: Request) -> Response:
-        indexes, payloads, extents = await self._parsed_container(request.body)
+        # CRC-checking every segment of a body that may be hundreds of MiB
+        # inline would stall every other connection (including /healthz)
+        loop = asyncio.get_running_loop()
+        indexes = await loop.run_in_executor(
+            None, self._check_container, request.body
+        )
         containers = [
             {
                 "shape": list(idx.shape),

@@ -157,3 +157,57 @@ class TestDualQuantize:
         assert stats.n_saturated == 0
         mags = codes & 0x7FFF
         assert np.percentile(mags, 95) < 64
+
+
+class TestBoundTooSmallToQuantize:
+    """A bound so small that ``d / 2eb`` leaves int64 is a typed error, not
+    a silent overflow that decodes far outside the bound."""
+
+    FIELD = np.linspace(1, 2, 64, dtype=np.float32)
+
+    @staticmethod
+    def _compressors():
+        from repro.core.pipeline import FZGPU
+        from repro.engine import Engine
+        from repro.planner import compress_with_plan
+
+        out = {
+            f"FZGPU[{b}]": lambda x, eb, b=b: FZGPU(backend=b).compress(x, eb, "abs")
+            for b in ("fused", "reference")
+        }
+        for plan in ("fast", "interp", "auto"):
+            out[f"compress_with_plan[{plan}]"] = (
+                lambda x, eb, p=plan: compress_with_plan(x, eb, "abs", plan=p)
+            )
+            out[f"compress_chunked[{plan}]"] = (
+                lambda x, eb, p=plan: Engine().compress_chunked(x, eb, "abs", plan=p)
+            )
+        return out
+
+    @pytest.mark.parametrize("eb", [1e-300, 1e-30])
+    def test_tiny_bound_is_a_typed_error(self, eb):
+        import warnings
+
+        from repro.errors import ReproError
+
+        for name, compress in self._compressors().items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ReproError, match="too small"):
+                    compress(self.FIELD, eb)
+
+    def test_saturating_bound_still_returns(self):
+        from repro.planner import compress_with_plan, decompress_any
+
+        for plan in ("fast", "interp", "auto"):
+            res = compress_with_plan(self.FIELD, 1e-18, "abs", plan=plan)
+            assert decompress_any(res.stream).shape == self.FIELD.shape
+            if res.plan == "fast":
+                assert res.quantizer.n_saturated > 0
+
+    def test_prequantize_limit(self):
+        from repro.core.quantize import QUANT_LIMIT
+
+        assert prequantize(np.float32([1.0]), 1.0 / QUANT_LIMIT)[0] == 2**59
+        with pytest.raises(ConfigError):
+            prequantize(np.float32([2.0]), 1.0 / QUANT_LIMIT)

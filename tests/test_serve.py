@@ -156,6 +156,75 @@ def test_salvage_endpoint_accounts_every_byte(server):
 
 
 # ---------------------------------------------------------------------------
+# decode routes over one plan: mixed plans, axis-1 splits, damaged payloads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs,pool", [(1, "thread"), (2, "process")])
+def test_mixed_plan_container_decodes_like_the_engine(jobs, pool):
+    """constant + interp + fast segments: full and slab routes match the
+    in-process engine byte for byte, on an inline and a process pool."""
+    from tests.golden_support import GOLDEN_DIR
+
+    blob = (GOLDEN_DIR / "golden_container_mixed.fz").read_bytes()
+    inline = Engine(jobs=1)
+    full = inline.decompress_chunked(blob)
+    # rows 8:40 cross the constant (0:16), interp (16:32) and fast (32:48)
+    # segments
+    roi = inline.decompress_roi(blob, "8:40,3:37")
+    with live_server(jobs=jobs, pool=pool) as (srv, app, engine):
+        status, headers, recon = http_decompress(srv.address, blob)
+        assert status == 200
+        assert "x-repro-slab" not in headers
+        assert recon.tobytes() == full.tobytes()
+        status, headers, body = request(
+            srv.address, "POST", "/v1/decompress?slab=8:40,3:37", blob
+        )
+    assert status == 200
+    assert headers["x-repro-slab"] == "8:40,3:37"
+    assert headers["x-repro-shape"] == "32,34"
+    assert body == roi.tobytes()
+
+
+def test_info_rejects_a_damaged_payload(server):
+    srv, app, engine = server
+    from tests.golden_support import GOLDEN_DIR
+
+    blob = bytearray((GOLDEN_DIR / "golden_container_mixed.fz").read_bytes())
+    victim = read_containers(__import__("io").BytesIO(bytes(blob)))[0].segments[2]
+    blob[victim.offset + victim.seg_bytes // 2] ^= 0xFF
+    status, _, body = request(srv.address, "POST", "/v1/info", bytes(blob))
+    assert status == 400 and _error(body)["error"] == "FormatError"
+
+
+def test_axis1_split_container_on_every_route(server):
+    """No engine call writes split_axis=1: every decode route refuses it
+    with a typed 400 before decoding, while /v1/info still describes it."""
+    import io
+
+    from repro.core.pipeline import FZGPU
+    from repro.engine import container as fzmc
+
+    srv, app, engine = server
+    data = _field((32, 16), seed=21)
+    buf = io.BytesIO()
+    writer = fzmc.ContainerWriter(buf, data.shape, 1e-3, split_axis=1)
+    for a in (0, 8):
+        stream = FZGPU().compress(data[:, a : a + 8], 1e-3, "abs").stream
+        writer.add_segment(stream, 8)
+    writer.finish()
+    blob = buf.getvalue()
+    for route in ("/v1/decompress", "/v1/decompress?slab=0:8"):
+        status, _, body = request(srv.address, "POST", route, blob)
+        assert status == 400 and _error(body)["error"] == "FormatError", route
+    status, _, body = request(srv.address, "POST", "/v1/salvage", blob)
+    assert status == 400
+    status, _, body = request(srv.address, "POST", "/v1/info", blob)
+    assert status == 200
+    assert json.loads(body)["containers"][0]["split_axis"] == 1
+
+
+# ---------------------------------------------------------------------------
 # typed 4xx
 # ---------------------------------------------------------------------------
 
