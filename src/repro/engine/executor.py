@@ -54,6 +54,7 @@ from concurrent.futures import (
 )
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from io import BytesIO
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -171,19 +172,48 @@ class TaskFailure:
 
 
 class _Task:
-    """Mutable in-flight state for one submitted work item."""
+    """One work item's whole lifecycle: its payload, attempts and leases.
 
-    __slots__ = ("index", "item", "attempts", "history", "future", "failure",
-                 "last_exc")
+    ``src`` is the item itself or, on a process pool with shared memory,
+    its staged descriptor; ``out_desc`` addresses the leased output block
+    ``out`` the worker writes into, and ``shape`` is a decode's peeked
+    output shape.  Every block stays leased until :meth:`release`, so
+    retries, pool rebuilds and resubmissions always find their segments
+    alive.  ``future`` is a pool future, or the stored thunk of an inline
+    task, which runs only when the loop waits on it.
+    """
 
-    def __init__(self, index: int, item) -> None:
+    __slots__ = ("index", "src", "out_desc", "inputs", "out", "shape",
+                 "attempts", "history", "future", "failure", "last_exc")
+
+    def __init__(self, index: int, src) -> None:
         self.index = index
-        self.item = item
+        self.src = src
+        self.out_desc = None
+        self.inputs: tuple[ShmBlock, ...] = ()
+        self.out: ShmBlock | None = None
+        self.shape: tuple[int, ...] | None = None
         self.attempts = 0
         self.history: list[str] = []
         self.future = None
         self.failure: TaskFailure | None = None
         self.last_exc: BaseException | None = None
+
+    def release(self, retire_out: bool = False) -> None:
+        """Drop this task's leases (idempotent).
+
+        A worker that timed out may still be writing its output block, so
+        ``retire_out`` unlinks that block instead of recycling it.
+        """
+        for block in self.inputs:
+            block.release()
+        self.inputs = ()
+        if self.out is not None:
+            if retire_out:
+                self.out.retire()
+            else:
+                self.out.release()
+            self.out = None
 
 
 def plan_chunks(
@@ -352,32 +382,22 @@ def _attach_input(src):
     return src
 
 
-def _proc_task(args) -> tuple[object, dict | None]:
-    """Process-pool task: one ``(src, out_desc, encode)`` item.
+def _run_task(codec, scratch, hard, index, attempt, src, out_desc, encode):
+    """One task body, shared by inline, thread and process workers.
 
-    ``src`` is a pickled payload or an shm/mmap descriptor; with an
-    ``out_desc`` the result is written into that region and only a
-    :class:`_ShmRef` marker rides home — unless it does not fit, in which
-    case it ships inline and is re-checked by the parent.
-
-    Returns ``(result, telemetry_payload_or_None)``: the worker records iff
-    the parent was recording, drains its recorder after every task and
-    ships the buffer home, where :meth:`Recorder.merge` folds it into the
-    parent's trace.  ``plan_text`` is the parent's serialized fault plan,
-    applied for exactly this task: the parent stays authoritative over
-    injection even when the worker's fork-inherited environment or module
-    state is stale, and ``fire_task(..., hard=True)`` makes an injected
-    ``worker_crash`` a *real* process death (the parent sees
-    ``BrokenProcessPool``).
+    Fires the fault hook for ``(index, attempt)``, then runs
+    :func:`_codec_task` under :func:`_instrumented_task`.  ``hard=True``
+    (a process worker) makes an injected ``worker_crash`` a *real*
+    process death, so the parent sees ``BrokenProcessPool``.  ``src`` may
+    be an shm/mmap descriptor; with an ``out_desc`` the result is written
+    into that region and only a :class:`_ShmRef` marker rides home —
+    unless it does not fit, in which case it ships inline and is
+    re-checked by the parent.
     """
-    (src, out_desc, encode), chunk, backend, telem, index, attempt, \
-        plan_text = args
 
     def body():
-        res = _codec_task(
-            _proc_codec(chunk, backend), _attach_input(src), encode,
-            _proc_scratch(),
-        )
+        faults.fire_task(index, attempt, hard=hard)
+        res = _codec_task(codec, _attach_input(src), encode, scratch)
         if out_desc is None:
             return res
         if encode is not None:
@@ -391,6 +411,21 @@ def _proc_task(args) -> tuple[object, dict | None]:
         np.copyto(out_desc.attach(), res)
         return _ShmRef(int(res.nbytes))
 
+    return _instrumented_task(body)
+
+
+def _proc_task(args) -> tuple[object, dict | None]:
+    """Process-pool task: :func:`_run_task` in a worker process.
+
+    Returns ``(result, telemetry_payload_or_None)``: the worker records iff
+    the parent was recording, drains its recorder after every task and
+    ships the buffer home, where :meth:`Recorder.merge` folds it into the
+    parent's trace.  ``plan_text`` is the parent's serialized fault plan,
+    applied for exactly this task: the parent stays authoritative over
+    injection even when the worker's fork-inherited environment or module
+    state is stale.
+    """
+    chunk, backend, telem, plan_text, *task = args
     global _PROC_TELEM_FRESH
     rec = telemetry.get_recorder()
     if not _PROC_TELEM_FRESH:
@@ -398,8 +433,9 @@ def _proc_task(args) -> tuple[object, dict | None]:
         _PROC_TELEM_FRESH = True
     rec.enabled = bool(telem)
     with faults.applied(plan_text):
-        faults.fire_task(index, attempt, hard=True)
-        result = _instrumented_task(body)
+        result = _run_task(
+            _proc_codec(chunk, backend), _proc_scratch(), True, *task
+        )
     return result, (rec.take() if telem else None)
 
 
@@ -413,73 +449,16 @@ def _stream_capacity(nbytes: int) -> int:
     return int(nbytes) + (int(nbytes) >> 1) + (1 << 16)
 
 
-class _ShmLedger:
-    """Parent-side lease bookkeeping for one process-pool call.
-
-    Every block a task references stays leased until that task's result
-    slot is consumed, so retries, pool rebuilds and resubmissions always
-    find their segments alive.  A slot that quarantined on *timeout* gets
-    its output block retired rather than recycled — the wedged worker may
-    still be writing — and :meth:`abandon` (the ``finally`` backstop for
-    abandoned generators and raised errors) retires every outstanding
-    output for the same reason.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple] = {}
-
-    def add(
-        self,
-        index: int,
-        inputs: Sequence[ShmBlock] = (),
-        out: ShmBlock | None = None,
-        shape: tuple[int, ...] | None = None,
-    ) -> None:
-        self._entries[index] = (tuple(inputs), out, shape)
-
-    def out(self, index: int) -> ShmBlock | None:
-        entry = self._entries.get(index)
-        return entry[1] if entry else None
-
-    def hand_off(self, index: int) -> ShmBlock:
-        """Drop the claim on ``index``'s output block and return it."""
-        inputs, out, shape = self._entries[index]
-        self._entries[index] = (inputs, None, shape)
-        return out
-
-    def shape(self, index: int) -> tuple[int, ...] | None:
-        entry = self._entries.get(index)
-        return entry[2] if entry else None
-
-    def release(self, index: int, retire_out: bool = False) -> None:
-        entry = self._entries.pop(index, None)
-        if entry is None:
-            return
-        inputs, out, _ = entry
-        for block in inputs:
-            block.release()
-        if out is not None:
-            if retire_out:
-                out.retire()
-            else:
-                out.release()
-
-    def abandon(self) -> None:
-        for index in list(self._entries):
-            self.release(index, retire_out=True)
-
-
 class Engine:
     """Parallel batch/streaming front-end to the FZ-GPU codec.
 
     Parameters
     ----------
     jobs:
-        Worker count.  ``1`` (the default) runs inline — no executor, no
-        thread hand-off — which is also the mode the differential suite
-        uses as its own reference.
+        Worker count.  ``1`` (the default) runs each task inline, on the
+        caller's thread when its result is consumed — no executor, no
+        thread hand-off, nothing counted in :attr:`queue_depth` — which is
+        also the mode the differential suite uses as its own reference.
     pool:
         ``"thread"`` (default; NumPy releases the GIL in the hot kernels)
         or ``"process"`` (for Python-overhead-bound workloads; fields and
@@ -800,83 +779,107 @@ class Engine:
             failure=task.failure,
         ) from exc
 
-    def _run_inline(self, items: Iterable, on_error: str) -> Iterator:
-        """jobs=1 path: no executor, but the same retry/quarantine loop."""
+    def _stage(self, index: int, item, encode) -> _Task:
+        """Stage one item for a process worker behind shared-memory descriptors.
+
+        Shm-resident fields and read-only memmaps (and their row spans)
+        ship as pure addresses; plain in-memory fields and streams are
+        copied into a leased block once, and the worker writes its result
+        into a leased output block.  An item that cannot be staged (see
+        :data:`MAX_SHM_STAGE_BYTES`, :meth:`_peek_decode_shape`, a failed
+        lease) ships pickled instead.
+        """
+        task = _Task(index, item)
+        if encode is not None:
+            task.src, task.inputs = self._stage_field(item)
+            if isinstance(task.src, (ShmDescriptor, MmapDescriptor)):
+                task.out = self._try_lease(_stream_capacity(task.src.nbytes))
+        else:
+            task.shape = self._peek_decode_shape(item)
+            inp = None if task.shape is None else self._try_lease(len(item))
+            if inp is not None:
+                inp.view(len(item))[:] = item
+                task.src, task.inputs = inp.descriptor((len(item),), np.uint8), (inp,)
+                task.out = self._try_lease(4 * int(math.prod(task.shape)))
+        if task.out is not None:
+            shape = (task.out.capacity,) if encode else task.shape
+            dtype = np.uint8 if encode else np.float32
+            task.out_desc = task.out.descriptor(shape, dtype, writable=True)
+        return task
+
+    def _take_result(self, task: _Task, res):
+        """Unwrap a worker's :class:`_ShmRef` result, then release ``task``.
+
+        A decoded field that fills at least half its output block is that
+        block: the :class:`ShmArray` takes the lease over and holds it until
+        the array and its views are gone.  A smaller field (it would pin up
+        to 1 MiB for a few KB) and a stream are copied out before the block
+        goes back to the free list.
+        """
+        if isinstance(res, _ShmRef):
+            if 2 * res.nbytes >= task.out.capacity:
+                out, task.out = task.out, None
+                res = out.adopt(task.shape, np.float32)
+            else:
+                res = np.array(task.out.asarray(task.shape, np.float32),
+                               subok=False)
+        elif isinstance(getattr(res, "stream", None), _ShmRef):
+            res = replace(res, stream=bytes(task.out.view(res.stream.nbytes)))
+        task.release()
+        return res
+
+    def _local_task(self, index: int, attempt: int, src, encode):
+        """Inline/thread task: :func:`_run_task` on a borrowed scratch."""
         scratch = self.buffer_pool.acquire()
         try:
-            for index, item in enumerate(items):
-                task = _Task(index, item)
-                while True:
-                    def body(item=item, attempt=task.attempts):
-                        faults.fire_task(index, attempt, hard=False)
-                        return _codec_task(self._codec, item[0], item[2], scratch)
-
-                    try:
-                        out = _instrumented_task(body)
-                    except Exception as exc:
-                        kind = _failure_kind(exc)
-                        if self._note_failure(task, exc, kind):
-                            self._backoff_sleep(task.attempts, kind, index)
-                            continue
-                        yield self._emit_failure(task, on_error)
-                        break
-                    else:
-                        yield out
-                        break
+            return _run_task(
+                self._codec, scratch, False, index, attempt, src, None, encode
+            ), None
         finally:
             self.buffer_pool.release(scratch)
 
-    def _run_ordered(self, items: Iterable, on_error: str = "raise") -> Iterator:
-        """Run ``(src, out_desc, encode)`` tasks, yielding results in order.
+    def _run_ordered(
+        self, items: Iterable, encode: tuple | None = None,
+        on_error: str = "raise",
+    ) -> Iterator:
+        """The one task loop: run ``items``, yielding plain results in order.
 
-        ``jobs=1`` runs inline; otherwise at most ``4 * jobs`` futures are
-        in flight, so streaming callers keep bounded memory even when one
-        slow chunk heads the queue.  Each task runs under the retry loop
-        described in the class docstring; quarantined tasks surface per
-        ``on_error`` (``"raise"`` — the default — or ``"return"``, which
-        yields the :class:`TaskFailure` in the task's result slot so
-        surviving results never reorder).
+        ``encode=None`` decodes streams into fresh arrays;
+        ``encode=(eb, mode, plan)`` compresses fields into
+        :class:`CompressionResult` s whose streams are ``bytes``.  Inline
+        (``jobs=1``), thread and process workers differ only in how a task
+        is submitted.  An inline task is a stored thunk that runs on the
+        caller's thread when its result is consumed, one at a time, and is
+        not counted in :attr:`queue_depth`; a pool keeps at most
+        ``4 * jobs`` tasks in flight, so streaming callers keep bounded
+        memory.  A process pool stages each item with :meth:`_stage`.
+        Every task runs under the retry loop described in the class
+        docstring; quarantined tasks surface per ``on_error``: ``"raise"``,
+        or ``"return"``, which yields the :class:`TaskFailure` in the
+        task's result slot so surviving results never reorder.
         """
         if on_error not in ("raise", "return"):
             raise ConfigError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         executor = self._ensure_executor()
-        if executor is None:
-            yield from self._run_inline(items, on_error)
-            return
-        window = 4 * self.jobs
-        if self.pool_kind == "process":
-            recorder = telemetry.get_recorder()
-            context = (self._chunk, self._backend_sel, telemetry.enabled())
-            plan_text = faults.serialized()
+        pooled = executor is not None
+        window = 4 * self.jobs if pooled else 1
+        depth = 1 if pooled else 0  # inline tasks are not pool work
+        shm = self._use_shm()
+        recorder = telemetry.get_recorder()
+        if pooled and self.pool_kind == "process":
+            context = (self._chunk, self._backend_sel, telemetry.enabled(),
+                       faults.serialized())
 
             def submit(task: _Task) -> None:
-                task.future = executor.submit(
-                    _proc_task,
-                    (task.item, *context, task.index, task.attempts, plan_text),
-                )
-
-            def finalize(res):
-                # unwrap (result, telemetry payload) from the worker process
-                result, payload = res
-                if payload is not None:
-                    recorder.merge(payload)
-                return result
+                task.future = executor.submit(_proc_task, (
+                    *context, task.index, task.attempts, task.src,
+                    task.out_desc, encode,
+                ))
         else:
             def submit(task: _Task) -> None:
-                index, attempt, (src, _, encode) = task.index, task.attempts, task.item
-
-                def run():
-                    def body():
-                        faults.fire_task(index, attempt, hard=False)
-                        with self.buffer_pool.borrow() as scratch:
-                            return _codec_task(self._codec, src, encode, scratch)
-
-                    return _instrumented_task(body)
-
-                task.future = executor.submit(run)
-
-            def finalize(res):
-                return res
+                args = (self._local_task, task.index, task.attempts, task.src,
+                        encode)
+                task.future = executor.submit(*args) if pooled else partial(*args)
 
         def safe_submit(task: _Task) -> None:
             # a pool can break between the head-wait and a submission;
@@ -899,10 +902,10 @@ class Engine:
                 if nxt is None:
                     exhausted = True
                     return
-                task = _Task(*nxt)
-                safe_submit(task)
+                task = self._stage(*nxt, encode) if shm else _Task(*nxt)
                 pending.append(task)
-                self._track_pending(1)
+                self._track_pending(depth)
+                safe_submit(task)
 
         try:
             refill()
@@ -910,12 +913,16 @@ class Engine:
                 task = pending[0]
                 if task.failure is not None:
                     pending.popleft()
-                    self._track_pending(-1)
+                    self._track_pending(-depth)
+                    task.release(retire_out="timeout" in task.history)
                     yield self._emit_failure(task, on_error)
                     refill()
                     continue
                 try:
-                    res = task.future.result(timeout=self.task_timeout)
+                    if pooled:
+                        res = task.future.result(timeout=self.task_timeout)
+                    else:
+                        res = task.future()
                 except TimeoutError:
                     exc = TaskTimeoutError(
                         f"task {task.index} exceeded task_timeout="
@@ -962,97 +969,23 @@ class Engine:
                         self._backoff_sleep(task.attempts, kind, task.index)
                         safe_submit(task)
                 else:
+                    # (result, telemetry payload) from every worker kind
+                    result, payload = res
+                    if payload is not None:
+                        recorder.merge(payload)
+                    result = self._take_result(task, result)
                     pending.popleft()
-                    self._track_pending(-1)
-                    yield finalize(res)
+                    self._track_pending(-depth)
+                    yield result
                     refill()
         finally:
             # a consumer that abandons the generator mid-stream (or a fatal
-            # error) must not leave unfinished tasks counted as in-flight
-            self._track_pending(-len(pending))
-
-    def _dispatch(
-        self, items: Iterable, encode: tuple | None = None,
-        on_error: str = "raise",
-    ) -> Iterator:
-        """The one staging site: run ``items``, yield plain results in order.
-
-        ``encode=None`` decodes streams into fresh arrays;
-        ``encode=(eb, mode, plan)`` compresses fields into
-        :class:`CompressionResult` s whose streams are ``bytes``.
-        :meth:`_run_ordered` runs the tasks inline, on threads or on a
-        process pool.  On a process pool each item is staged here behind
-        shared-memory descriptors, and the worker writes its result into a
-        leased output block; an item that cannot be staged (see
-        :data:`MAX_SHM_STAGE_BYTES`, :meth:`_peek_decode_shape`, a failed
-        lease) ships pickled instead, within the same call.  Every block
-        stays leased until its result slot is consumed (:class:`_ShmLedger`);
-        a decoded field that fills at least half its output block is yielded
-        as the :class:`ShmArray` view of that block, which then holds it
-        until the array and its views are gone.
-        """
-        shm = self._use_shm()
-        ledger = _ShmLedger()
-
-        def staged():
-            for index, item in enumerate(items):
-                src, inputs, out, out_desc, shape = item, (), None, None, None
-                if shm and encode is not None:
-                    # shm-resident fields and read-only memmaps (and their
-                    # row spans) ship as pure addresses; plain in-memory
-                    # fields are copied into a leased block once
-                    src, inputs = self._stage_field(item)
-                    if isinstance(src, (ShmDescriptor, MmapDescriptor)):
-                        out = self._try_lease(_stream_capacity(src.nbytes))
-                        if out is not None:
-                            out_desc = out.descriptor(
-                                (out.capacity,), np.uint8, writable=True
-                            )
-                elif shm:
-                    shape = self._peek_decode_shape(item)
-                    inp = None if shape is None else self._try_lease(len(item))
-                    if inp is not None:
-                        inp.view(len(item))[:] = item
-                        src = inp.descriptor((len(item),), np.uint8)
-                        inputs = (inp,)
-                        out = self._try_lease(4 * int(math.prod(shape)))
-                        if out is not None:
-                            out_desc = out.descriptor(
-                                shape, np.float32, writable=True
-                            )
-                ledger.add(index, inputs, out, shape)
-                yield src, out_desc, encode
-
-        try:
-            results = self._run_ordered(staged(), on_error=on_error)
-            for index, res in enumerate(results):
-                # a decoded field that fills at least half its output block
-                # is that block: the array takes the lease over.  A smaller
-                # field (it would pin up to 1 MiB for a few KB) and a stream
-                # are copied out before the block goes back to the free
-                # list.  A timed-out worker may still be mid-write, so its
-                # output block is retired, not recycled
-                if isinstance(res, _ShmRef):
-                    out, shape = ledger.out(index), ledger.shape(index)
-                    if 2 * res.nbytes >= out.capacity:
-                        res = ledger.hand_off(index).adopt(shape, np.float32)
-                    else:
-                        res = np.array(
-                            out.asarray(shape, np.float32), copy=True, subok=False
-                        )
-                elif isinstance(getattr(res, "stream", None), _ShmRef):
-                    stream = bytes(ledger.out(index).view(res.stream.nbytes))
-                    res = replace(res, stream=stream)
-                ledger.release(
-                    index,
-                    retire_out=isinstance(res, TaskFailure)
-                    and "timeout" in res.history,
-                )
-                yield res
-        finally:
-            # abandoned generators and raised errors retire every
-            # outstanding output for the same reason
-            ledger.abandon()
+            # error) must not leave unfinished tasks counted as in-flight,
+            # nor their blocks leased: a worker may still be writing, so
+            # every pending output block is retired, not recycled
+            self._track_pending(-depth * len(pending))
+            for t in pending:
+                t.release(retire_out=True)
 
     # -- batch API ---------------------------------------------------------
 
@@ -1083,7 +1016,7 @@ class Engine:
         with telemetry.span("engine.compress_batch") as sp:
             sp.set("n_fields", len(fields))
             sp.set("plan", plan)
-            return list(self._dispatch(fields, (eb, mode, plan), on_error))
+            return list(self._run_ordered(fields, (eb, mode, plan), on_error))
 
     def decompress_batch(
         self, streams: Sequence[bytes], on_error: str = "raise"
@@ -1100,7 +1033,7 @@ class Engine:
         streams = list(streams)
         with telemetry.span("engine.decompress_batch") as sp:
             sp.set("n_streams", len(streams))
-            return list(self._dispatch(streams, on_error=on_error))
+            return list(self._run_ordered(streams, on_error=on_error))
 
     def decompress_stream(
         self, streams: Iterable[bytes], on_error: str = "raise"
@@ -1116,7 +1049,7 @@ class Engine:
         """
         with telemetry.span("engine.decompress_stream") as sp:
             n = 0
-            for result in self._dispatch(streams, on_error=on_error):
+            for result in self._run_ordered(streams, on_error=on_error):
                 n += 1
                 yield result
             sp.set("n_streams", n)
@@ -1185,7 +1118,7 @@ class Engine:
             compressed = 0
             chunk_plans: list[str] = []
             # chunk spans of a memmap/ShmArray field stage as addresses
-            results = self._dispatch(
+            results = self._run_ordered(
                 (data[a:b] for a, b in spans), (eb_abs, "abs", plan)
             )
             for (a, b), result in zip(spans, results):
@@ -1280,8 +1213,8 @@ class Engine:
         fully CRC-validated 52-byte stream, with no pool round-trip (level
         0, final).  With ``previews=True`` an ``FZIN`` segment first yields
         its anchor-grid preview (level 0, not final).  Everything else
-        decodes through :meth:`_dispatch` (level 1, final), so at most one
-        ``_run_ordered`` window of chunks is alive at a time.  Strict mode
+        decodes through :meth:`_run_ordered` (level 1, final), so at most one
+        window of chunks is alive at a time.  Strict mode
         raises the first failure with the usual taxonomy; ``salvage=True``
         yields the failure as that task's ``tile`` instead.
         """
@@ -1305,7 +1238,7 @@ class Engine:
             return chunk[task.local]
 
         def tiles():
-            decoded = self._dispatch(
+            decoded = self._run_ordered(
                 (p for p in payloads if p is not None and p[:4] != CONSTANT_MAGIC),
                 on_error="return" if salvage else "raise",
             )
@@ -1453,7 +1386,7 @@ class Engine:
     def _roi_tile_gen(self, items: Iterator[tuple]) -> Iterator[RoiTile]:
         """Wrap :meth:`_walk` items as contiguous :class:`RoiTile` s."""
         telem = telemetry.enabled()
-        filled = n_decoded = 0
+        filled = n_decoded = out_bytes = 0
         try:
             for task, level, final, data in items:
                 if telem:
@@ -1463,15 +1396,15 @@ class Engine:
                     )
                 filled += level == 0 and final
                 n_decoded += level == 1
-                yield RoiTile(
-                    level, final, task.out_row0,
-                    np.require(data, requirements="CWE"),
-                )
+                data = np.require(data, requirements="CWE")
+                out_bytes += data.nbytes if final else 0
+                yield RoiTile(level, final, task.out_row0, data)
         finally:
             items.close()
             if telem:
                 telemetry.counter("roi.chunks_decoded", n_decoded)
                 telemetry.counter("roi.chunks_filled", filled)
+                telemetry.counter("roi.bytes_out", out_bytes)
 
     def decompress_roi_file(
         self,
@@ -1551,7 +1484,7 @@ class Engine:
         unknowable without the index.
         """
         hits = sorted(hits, key=lambda h: h.offset)
-        results = self._dispatch([h.payload for h in hits], on_error="return")
+        results = self._run_ordered([h.payload for h in hits], on_error="return")
         outcomes: list[fzmc.SegmentOutcome] = []
         parts: list[np.ndarray] = []
         tail: tuple[int, ...] | None = None

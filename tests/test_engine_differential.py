@@ -125,6 +125,49 @@ def test_batch_preserves_order(fields):
 
 
 # ---------------------------------------------------------------------------
+# the task loop's contract: pull window and queue depth
+# ---------------------------------------------------------------------------
+
+
+def _pull_counted(streams, pulled: list):
+    for stream in streams:
+        pulled.append(stream)
+        yield stream
+
+
+def test_inline_stream_is_lazy_and_not_pool_work(reference):
+    """jobs=1 pulls item i+1 only once result i is consumed, and its tasks
+    never count in ``queue_depth`` (serve's shed signal)."""
+    streams = [r.stream for r in reference[0]]
+    pulled: list = []
+    with Engine(jobs=1) as engine:
+        gen = engine.decompress_stream(_pull_counted(streams, pulled))
+        assert len(pulled) == 0 and engine.queue_depth == 0
+        next(gen)
+        assert len(pulled) == 1 and engine.queue_depth == 0
+        next(gen)
+        assert len(pulled) == 2 and engine.queue_depth == 0
+        gen.close()
+        assert engine.queue_depth == 0
+
+
+@pytest.mark.parametrize("pool", POOL_MATRIX)
+def test_pool_stream_window_and_close(reference, pool):
+    """A pool pulls at most ``4 * jobs`` items ahead; closing the stream
+    mid-way brings ``queue_depth`` back to zero."""
+    jobs = 2
+    streams = [r.stream for r in reference[0]] * 4
+    pulled: list = []
+    with Engine(jobs=jobs, pool=pool) as engine:
+        gen = engine.decompress_stream(_pull_counted(streams, pulled))
+        next(gen)
+        assert 1 <= len(pulled) <= 4 * jobs < len(streams)
+        assert engine.queue_depth > 0
+        gen.close()
+        assert engine.queue_depth == 0
+
+
+# ---------------------------------------------------------------------------
 # chunked streaming vs unchunked
 # ---------------------------------------------------------------------------
 

@@ -652,6 +652,29 @@ def test_small_decodes_do_not_pin_blocks():
             np.testing.assert_allclose(a, f, atol=2 * EB * np.ptp(f))
 
 
+def test_closed_stream_leaves_no_lease():
+    """Closing a process-pool stream mid-way releases every staged block.
+
+    The tasks still in flight are dropped with their input blocks released
+    and their output blocks retired; once the yielded array (which adopted
+    its output block) is gone too, every live block is idle.
+    """
+    field = np.cumsum(
+        np.random.default_rng(29).standard_normal((512, 640)), axis=0
+    ).astype(np.float32)
+    with Engine(jobs=2, pool="process", **FAST) as engine:
+        arena = engine.shared_arena()
+        streams = _streams(engine, [field]) * 12
+        gen = engine.decompress_stream(iter(streams))
+        first = next(gen)
+        assert isinstance(first, ShmArray)
+        gen.close()
+        assert engine.queue_depth == 0
+        del first
+        gc.collect()
+        assert arena.n_live == arena.n_idle
+
+
 def test_decoded_result_owns_its_block():
     """A held result is untouched by later batches, then recycled."""
     fields = _mixed_fields()

@@ -331,6 +331,34 @@ def test_progressive_tiles_emit_leveled_counters(eng):
     assert finals == 3 and previews == 1
 
 
+@pytest.mark.parametrize("slab", [":", "5:37,3:31"])
+def test_progressive_tiles_count_roi_bytes_out(eng, slab):
+    """Consumed tiles count the same ``roi.bytes_out`` as ``decompress_roi``.
+
+    Only final tiles count: the interp segment's preview is not output.
+    """
+    mixed = golden_mixed_field()
+    blob = eng.compress_chunked(
+        mixed, GOLDEN_EB, "abs", chunk_bytes=GOLDEN_CHUNK_BYTES, plan="auto"
+    )
+    rec = telemetry.get_recorder()
+    counted = []
+    for read in (
+        lambda: eng.decompress_roi(blob, slab).nbytes,
+        lambda: sum(t.data.nbytes for t in eng.iter_roi_tiles(blob, slab) if t.final),
+    ):
+        telemetry.enable()
+        rec.clear()
+        try:
+            nbytes = read()
+            counted.append((_counter(rec.snapshot(), "roi.bytes_out"), nbytes))
+        finally:
+            telemetry.disable()
+            rec.clear()
+    (roi_count, roi_bytes), (tile_count, tile_bytes) = counted
+    assert roi_count == roi_bytes == tile_bytes == tile_count > 0
+
+
 # ---------------------------------------------------------------------------
 # crafted-index fuzzing: forged indexes fail typed, never garble
 # ---------------------------------------------------------------------------
