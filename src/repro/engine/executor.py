@@ -7,10 +7,11 @@
   through a ``concurrent.futures`` worker pool.  Threads are the default
   (the NumPy kernels release the GIL for the hot loops); a process pool is
   available for workloads where Python-level overhead dominates.
-* **buffer pooling** — each worker borrows a
-  :class:`~repro.utils.pool.Scratch` arena from a shared
-  :class:`~repro.utils.pool.BufferPool`, so steady-state batch throughput
-  performs no per-call allocation of quantization/bitshuffle temporaries.
+* **buffer pooling** — each inline or thread task borrows a
+  :class:`~repro.utils.pool.Scratch` arena from the engine's
+  :class:`~repro.utils.pool.BufferPool`, and each process worker owns one,
+  so steady-state batch throughput performs no per-call allocation of
+  quantization/bitshuffle temporaries.
 * **streaming** — ``compress_file``/``decompress_file`` process one large
   field in fixed-size chunks through the multi-chunk container format
   (:mod:`repro.engine.container`), never materializing the whole stream in
@@ -259,15 +260,24 @@ class FileReport:
 
 # ---------------------------------------------------------------------------
 # process-pool task functions (must be importable top-level for pickling);
-# each worker process keeps one lazily-created scratch arena for its lifetime
+# the pool initializer sets each worker up once for its lifetime
 # ---------------------------------------------------------------------------
 
+#: This worker process's ``(codec, scratch)``, built by :func:`_init_worker`.
+_WORKER: tuple[FZGPU, Scratch] | None = None
 
-def _watch_parent() -> None:
-    """Pool initializer: end this worker once its parent process is gone.
 
-    A parent killed without :meth:`Engine.close` (SIGKILL, a crash) would
-    otherwise leave its workers running, and with them the parent's
+def _init_worker(chunk, backend) -> None:
+    """Pool initializer: set this worker process up once for its lifetime.
+
+    Builds the worker's one :class:`FZGPU` from the engine's ``chunk`` and
+    backend name, and its one :class:`Scratch`.  Drops the recorder state a
+    fork-started worker inherited from the parent, or every worker would
+    ship the parent's pre-fork spans and metrics home for re-merging.
+
+    Then ends this worker once its parent process is gone.  A parent
+    killed without :meth:`Engine.close` (SIGKILL, a crash) would otherwise
+    leave its workers running, and with them the parent's
     ``resource_tracker``, whose pipe they inherited; the tracker reclaims
     the parent's leased ``/dev/shm`` segments only once every holder of
     that pipe has exited.  The watch waits on the parent's process
@@ -276,6 +286,9 @@ def _watch_parent() -> None:
     for a parent that died before this initializer ran, where a
     ``getppid()`` read here would already see the new parent.
     """
+    global _WORKER
+    _WORKER = (FZGPU(chunk=chunk, backend=backend), Scratch())
+    telemetry.get_recorder().clear()
     parent = multiprocessing.parent_process()
 
     def watch() -> None:
@@ -285,29 +298,6 @@ def _watch_parent() -> None:
     threading.Thread(
         target=watch, name="repro-parent-watch", daemon=True
     ).start()
-
-
-_PROC_SCRATCH: Scratch | None = None
-
-
-def _proc_scratch() -> Scratch:
-    global _PROC_SCRATCH
-    if _PROC_SCRATCH is None:
-        _PROC_SCRATCH = Scratch()
-    return _PROC_SCRATCH
-
-
-# one codec per (chunk, backend) per worker process — rebuilding an FZGPU
-# for every task paid backend resolution and validation on the hot path
-_PROC_CODECS: dict[tuple, FZGPU] = {}
-
-
-def _proc_codec(chunk, backend) -> FZGPU:
-    key = (chunk, backend)
-    codec = _PROC_CODECS.get(key)
-    if codec is None:
-        codec = _PROC_CODECS[key] = FZGPU(chunk=chunk, backend=backend)
-    return codec
 
 
 def _codec_task(codec: FZGPU, src, encode, scratch):
@@ -352,12 +342,6 @@ def _instrumented_task(fn):
     return out
 
 
-# fork-started workers inherit the parent recorder's buffered spans and
-# metrics; each worker must drop that state once before its first take(),
-# or every worker ships the parent's pre-fork events home for re-merging
-_PROC_TELEM_FRESH = False
-
-
 # ---------------------------------------------------------------------------
 # process-pool data plane: tasks carry (name, offset, shape, dtype)
 # descriptors instead of pickled arrays.  Workers attach read-only input
@@ -382,10 +366,10 @@ def _attach_input(src):
     return src
 
 
-def _run_task(codec, scratch, hard, index, attempt, src, out_desc, encode):
+def _run_task(codec, scratch, hard, plan, encode, index, attempt, src, out_desc):
     """One task body, shared by inline, thread and process workers.
 
-    Fires the fault hook for ``(index, attempt)``, then runs
+    Fires ``plan``'s fault hook for ``(index, attempt)``, then runs
     :func:`_codec_task` under :func:`_instrumented_task`.  ``hard=True``
     (a process worker) makes an injected ``worker_crash`` a *real*
     process death, so the parent sees ``BrokenProcessPool``.  ``src`` may
@@ -396,7 +380,7 @@ def _run_task(codec, scratch, hard, index, attempt, src, out_desc, encode):
     """
 
     def body():
-        faults.fire_task(index, attempt, hard=hard)
+        faults.fire_task(plan, index, attempt, hard=hard)
         res = _codec_task(codec, _attach_input(src), encode, scratch)
         if out_desc is None:
             return res
@@ -414,28 +398,22 @@ def _run_task(codec, scratch, hard, index, attempt, src, out_desc, encode):
     return _instrumented_task(body)
 
 
-def _proc_task(args) -> tuple[object, dict | None]:
-    """Process-pool task: :func:`_run_task` in a worker process.
+def _proc_task(telem, plan, encode, index, attempt, src, out_desc):
+    """Process-pool task: :func:`_run_task` on this worker's codec and scratch.
 
     Returns ``(result, telemetry_payload_or_None)``: the worker records iff
     the parent was recording, drains its recorder after every task and
     ships the buffer home, where :meth:`Recorder.merge` folds it into the
-    parent's trace.  ``plan_text`` is the parent's serialized fault plan,
-    applied for exactly this task: the parent stays authoritative over
-    injection even when the worker's fork-inherited environment or module
-    state is stale.
+    parent's trace.  ``plan`` is the fault plan the parent's call started
+    with, so whatever plan or environment the worker inherited at fork
+    never injects.
     """
-    chunk, backend, telem, plan_text, *task = args
-    global _PROC_TELEM_FRESH
     rec = telemetry.get_recorder()
-    if not _PROC_TELEM_FRESH:
-        rec.clear()
-        _PROC_TELEM_FRESH = True
     rec.enabled = bool(telem)
-    with faults.applied(plan_text):
-        result = _run_task(
-            _proc_codec(chunk, backend), _proc_scratch(), True, *task
-        )
+    codec, scratch = _WORKER
+    result = _run_task(
+        codec, scratch, True, plan, encode, index, attempt, src, out_desc
+    )
     return result, (rec.take() if telem else None)
 
 
@@ -464,17 +442,15 @@ class Engine:
         or ``"process"`` (for Python-overhead-bound workloads; fields and
         streams cross the process boundary in shared memory where the
         platform has it, pickled otherwise — the bytes are the same).
-    buffer_pool:
-        Optional externally-owned :class:`BufferPool` to share arenas
-        across engines (each worker borrows one :class:`Scratch` per task).
     chunk:
         Optional FZ-GPU chunk-shape override, forwarded to every codec.
     backend:
         Optional kernel-backend selection forwarded to every codec: a
         registered name (``"fused"``, ``"reference"``), a
         :class:`~repro.backends.KernelBackend` instance (thread pools
-        only; process workers receive the *name*, so the backend must be
-        registered on import in the child too), or ``None``/``"auto"``
+        only; each process worker builds its codec from the *name* once,
+        so the backend must be registered in the child too), or
+        ``None``/``"auto"``
         for ``fused``.  Output bytes are identical for every choice.
     retries:
         How many times a *retryable* task failure (transient error, worker
@@ -488,8 +464,9 @@ class Engine:
         wedges its worker, so the pool is rebuilt and in-flight tasks are
         resubmitted; a timed-out thread is abandoned and the task retried.
     backoff:
-        Base delay of the exponential retry backoff: attempt ``k`` sleeps
-        ``backoff * 2**(k-1)`` seconds (capped at :data:`MAX_BACKOFF_S`).
+        Base delay of the exponential retry backoff, finite and ``>= 0``:
+        attempt ``k`` sleeps ``backoff * 2**(k-1)`` seconds (capped at
+        :data:`MAX_BACKOFF_S`).
     plan:
         Default request plan (:data:`repro.planner.REQUEST_PLANS`) applied
         by the compression entry points when they are not given an explicit
@@ -504,7 +481,6 @@ class Engine:
         self,
         jobs: int = 1,
         pool: str = "thread",
-        buffer_pool: BufferPool | None = None,
         chunk: tuple[int, ...] | None = None,
         backend=None,
         retries: int = DEFAULT_RETRIES,
@@ -522,16 +498,17 @@ class Engine:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         if task_timeout is not None:
             task_timeout = ensure_positive(task_timeout, "task_timeout")
-        if backoff < 0:
-            raise ConfigError(f"backoff must be >= 0, got {backoff}")
+        backoff = float(backoff)
+        if not math.isfinite(backoff) or backoff < 0:
+            raise ConfigError(f"backoff must be finite and >= 0, got {backoff}")
         self.jobs = jobs
         self.pool_kind = pool
         self._shm: SharedArena | None = None
         self.plan = normalize_plan(plan)
-        self.buffer_pool = buffer_pool if buffer_pool is not None else BufferPool()
+        self.buffer_pool = BufferPool()
         self.retries = retries
         self.task_timeout = task_timeout
-        self.backoff = float(backoff)
+        self.backoff = backoff
         self._chunk = chunk
         if isinstance(backend, str) and backend != "auto":
             from repro.backends import get_backend
@@ -558,7 +535,8 @@ class Engine:
                 )
             else:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_watch_parent
+                    max_workers=self.jobs, initializer=_init_worker,
+                    initargs=(self._chunk, self._backend_sel),
                 )
         return self._executor
 
@@ -828,12 +806,13 @@ class Engine:
         task.release()
         return res
 
-    def _local_task(self, index: int, attempt: int, src, encode):
+    def _local_task(self, plan, encode, index: int, attempt: int, src):
         """Inline/thread task: :func:`_run_task` on a borrowed scratch."""
         scratch = self.buffer_pool.acquire()
         try:
             return _run_task(
-                self._codec, scratch, False, index, attempt, src, None, encode
+                self._codec, scratch, False, plan, encode, index, attempt, src,
+                None,
             ), None
         finally:
             self.buffer_pool.release(scratch)
@@ -853,6 +832,8 @@ class Engine:
         not counted in :attr:`queue_depth`; a pool keeps at most
         ``4 * jobs`` tasks in flight, so streaming callers keep bounded
         memory.  A process pool stages each item with :meth:`_stage`.
+        The fault plan is resolved once, when the call starts, and every
+        task of the call runs it, whatever is installed meanwhile.
         Every task runs under the retry loop described in the class
         docstring; quarantined tasks surface per ``on_error``: ``"raise"``,
         or ``"return"``, which yields the :class:`TaskFailure` in the
@@ -866,19 +847,19 @@ class Engine:
         depth = 1 if pooled else 0  # inline tasks are not pool work
         shm = self._use_shm()
         recorder = telemetry.get_recorder()
+        plan = faults.active_plan()
         if pooled and self.pool_kind == "process":
-            context = (self._chunk, self._backend_sel, telemetry.enabled(),
-                       faults.serialized())
+            telem = telemetry.enabled()
 
             def submit(task: _Task) -> None:
-                task.future = executor.submit(_proc_task, (
-                    *context, task.index, task.attempts, task.src,
-                    task.out_desc, encode,
-                ))
+                task.future = executor.submit(
+                    _proc_task, telem, plan, encode, task.index,
+                    task.attempts, task.src, task.out_desc,
+                )
         else:
             def submit(task: _Task) -> None:
-                args = (self._local_task, task.index, task.attempts, task.src,
-                        encode)
+                args = (self._local_task, plan, encode, task.index,
+                        task.attempts, task.src)
                 task.future = executor.submit(*args) if pooled else partial(*args)
 
         def safe_submit(task: _Task) -> None:

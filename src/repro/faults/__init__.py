@@ -12,12 +12,10 @@ from repro.faults.injector import (
     FaultPlan,
     FaultSpec,
     active_plan,
-    applied,
     corrupt_segment,
     fire_task,
     install,
     installed,
-    serialized,
     uninstall,
 )
 
@@ -28,11 +26,9 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "active_plan",
-    "applied",
     "corrupt_segment",
     "fire_task",
     "install",
     "installed",
-    "serialized",
     "uninstall",
 ]

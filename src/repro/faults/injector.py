@@ -37,11 +37,13 @@ Either install a config object::
         ...
 
 or set the ``REPRO_FAULTS`` environment variable to the same plan syntax
-before the process starts.  The engine serializes the *parent's* active
-plan into every process-pool task (:func:`serialized` / :func:`applied`),
-so plan changes in the parent always win over whatever environment a
-long-lived worker inherited at fork time — injected faults cross the
-process-pool boundary deterministically.
+before the process starts.  The engine resolves :func:`active_plan` once
+per call, in the parent, and hands that :class:`FaultPlan` to every task
+of the call (:func:`fire_task` takes it as an argument), for inline,
+thread and process workers alike.  A call thus runs the plan that was
+active when it started, and the parent always wins over whatever plan or
+environment a long-lived worker inherited at fork time — injected faults
+cross the process-pool boundary deterministically.
 
 Plan syntax
 -----------
@@ -77,9 +79,7 @@ __all__ = [
     "install",
     "uninstall",
     "installed",
-    "applied",
     "active_plan",
-    "serialized",
     "fire_task",
     "corrupt_segment",
 ]
@@ -87,7 +87,7 @@ __all__ = [
 #: The four supported injection sites.
 SITES = ("worker_crash", "worker_hang", "transient_error", "segment_corrupt")
 
-#: Environment variable holding a fault plan (parsed lazily, cached).
+#: Environment variable holding a fault plan (parsed when a plan is resolved).
 ENV_VAR = "REPRO_FAULTS"
 
 #: Exit code used by a hard (process) worker crash — distinctive in logs.
@@ -208,13 +208,7 @@ class FaultPlan:
         return bool(self.specs)
 
 
-#: Sentinel distinguishing "explicitly no faults" from "not installed":
-#: a worker applying a parent's empty plan must NOT fall back to the
-#: environment it inherited at fork time.
-_NO_FAULTS = FaultPlan()
-
 _INSTALLED: FaultPlan | None = None
-_ENV_CACHE: tuple[str, FaultPlan] | None = None
 
 
 def install(plan: FaultPlan) -> None:
@@ -241,41 +235,17 @@ def installed(plan: FaultPlan):
         _INSTALLED = prev
 
 
-@contextlib.contextmanager
-def applied(text: str | None):
-    """Apply a serialized plan for one task (process-pool worker side).
-
-    ``None``/empty means "the parent had no active plan": faults are fully
-    disabled for the task, overriding both any fork-inherited installed
-    plan and the worker's environment copy — the parent is authoritative.
-    """
-    global _INSTALLED
-    prev = _INSTALLED
-    _INSTALLED = FaultPlan.parse(text) if text else _NO_FAULTS
-    try:
-        yield
-    finally:
-        _INSTALLED = prev
-
-
 def active_plan() -> FaultPlan | None:
-    """The effective plan: installed object first, then ``REPRO_FAULTS``."""
-    global _ENV_CACHE
-    if _INSTALLED is not None:
-        return _INSTALLED if _INSTALLED else None
-    text = os.environ.get(ENV_VAR)
-    if not text:
-        return None
-    if _ENV_CACHE is None or _ENV_CACHE[0] != text:
-        _ENV_CACHE = (text, FaultPlan.parse(text))
-    plan = _ENV_CACHE[1]
-    return plan if plan else None
+    """The effective plan: installed object first, then ``REPRO_FAULTS``.
 
-
-def serialized() -> str:
-    """The active plan as text ("" if none) — shipped into pool workers."""
-    plan = active_plan()
-    return plan.to_text() if plan is not None else ""
+    ``None`` when neither holds a non-empty plan.  The engine resolves it
+    once per call, not per task.
+    """
+    plan = _INSTALLED
+    if plan is None:
+        text = os.environ.get(ENV_VAR)
+        plan = FaultPlan.parse(text) if text else None
+    return plan or None
 
 
 def _count(site: str) -> None:
@@ -283,15 +253,18 @@ def _count(site: str) -> None:
         telemetry.counter("faults.injected", 1, {"site": site})
 
 
-def fire_task(key: int, attempt: int, hard: bool) -> None:
-    """Fire the worker-task sites for one ``(key, attempt)`` execution.
+def fire_task(
+    plan: FaultPlan | None, key: int, attempt: int, hard: bool
+) -> None:
+    """Fire ``plan``'s worker-task sites for one ``(key, attempt)`` execution.
 
-    ``hard=True`` means we are inside a process-pool worker, where a crash
-    can be a real process death; soft workers (threads, inline) raise
-    :class:`WorkerCrashError` instead — same recovery path in the engine.
+    ``plan`` is the caller's resolved :func:`active_plan` (``None`` or an
+    empty plan injects nothing).  ``hard=True`` means we are inside a
+    process-pool worker, where a crash can be a real process death; soft
+    workers (threads, inline) raise :class:`WorkerCrashError` instead —
+    same recovery path in the engine.
     """
-    plan = active_plan()
-    if plan is None:
+    if not plan:
         return
     if plan.spec_for("worker_crash", key, attempt):
         _count("worker_crash")

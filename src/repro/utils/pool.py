@@ -130,24 +130,23 @@ class Scratch:
 class BufferPool:
     """Thread-safe pool of :class:`Scratch` arenas, one per in-flight task.
 
-    The engine borrows a scratch around each compression/decompression task::
+    An inline or thread engine task checks a scratch out around its
+    compression/decompression::
 
-        pool = BufferPool()
-        with pool.borrow() as scratch:
+        scratch = pool.acquire()
+        try:
             result = codec.compress(field, eb=1e-3, scratch=scratch)
+        finally:
+            pool.release(scratch)
 
     Concurrency never exceeds the worker count, so the pool holds at most
     ``jobs`` scratches in the steady state; after warm-up, borrowing is a
     list pop and compression allocates nothing.
-
-    ``max_scratches`` caps how many arenas are *retained*; extra returns are
-    dropped (their memory freed) rather than hoarded.
     """
 
-    def __init__(self, max_scratches: int | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._free: list[Scratch] = []
-        self._max = max_scratches
         #: Total Scratch instances ever created by this pool.
         self.n_created = 0
 
@@ -167,31 +166,15 @@ class BufferPool:
     def release(self, scratch: Scratch) -> None:
         """Return a scratch to the pool for reuse."""
         with self._lock:
-            if self._max is None or len(self._free) < self._max:
-                self._free.append(scratch)
+            self._free.append(scratch)
             idle = len(self._free)
         telemetry.gauge("pool.idle", idle)
-
-    @contextmanager
-    def borrow(self):
-        """Context-managed :meth:`acquire` / :meth:`release`."""
-        scratch = self.acquire()
-        try:
-            yield scratch
-        finally:
-            self.release(scratch)
 
     @property
     def n_idle(self) -> int:
         """Scratches currently checked in."""
         with self._lock:
             return len(self._free)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes retained by idle scratches (in-flight ones not counted)."""
-        with self._lock:
-            return sum(s.nbytes for s in self._free)
 
     @property
     def n_allocations(self) -> int:

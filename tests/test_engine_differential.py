@@ -27,10 +27,11 @@ import os
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.pipeline import FZGPU
 from repro.engine import Engine, iter_segments, plan_chunks, read_containers
 from repro.errors import ConfigError, FormatError, ReproError
-from repro.utils.pool import BufferPool, Scratch
+from repro.utils.pool import Scratch
 
 JOBS_MATRIX = sorted({1, int(os.environ.get("ENGINE_JOBS", "2"))})
 POOL_MATRIX = (
@@ -86,30 +87,60 @@ def test_batch_matches_single_shot(fields, reference, jobs, pool):
 
 
 def test_proc_worker_codec_cache(fields, reference):
-    """Process workers reuse one codec per (chunk, backend) key.
+    """Each process worker builds its one codec from the engine's settings.
 
-    Rebuilding an ``FZGPU`` per task paid backend resolution on every
-    submission; the cache must not change a single output byte, including
-    under a non-default backend and chunk shape.
+    The pool initializer gets the engine's ``chunk`` and backend name; the
+    worker's codec must not change a single output byte, including under a
+    non-default backend and chunk shape.
     """
-    from repro.engine import executor
-
-    # the cache itself: same key -> same object, different key -> different
-    executor._PROC_CODECS.clear()
-    a = executor._proc_codec(None, "fused")
-    assert executor._proc_codec(None, "fused") is a
-    b = executor._proc_codec((16, 16), "fused")
-    assert b is not a
-    assert executor._proc_codec((16, 16), "reference") is not b
-    assert len(executor._PROC_CODECS) == 3
-    executor._PROC_CODECS.clear()
-
-    # differential proof through a real process pool
     results, recons = reference
     with Engine(jobs=2, pool="process", backend="fused") as engine:
         batch = engine.compress_batch(fields, EB, "rel")
         assert [r.stream for r in batch] == [r.stream for r in results]
         back = engine.decompress_batch([r.stream for r in results])
+    for got, want in zip(back, recons):
+        assert np.array_equal(got, want)
+
+    # a non-default chunk shape must reach the workers through initargs
+    # ((16, 16) is the 2-D default, so it could not tell)
+    settings = dict(chunk=(8, 32), backend="reference")
+    field2d = fields[1]
+    with Engine(jobs=1, **settings) as engine:
+        want = engine.compress_batch([field2d] * 3, EB, "rel")
+        want_back = engine.decompress_batch([r.stream for r in want])
+    with Engine(jobs=2, pool="process", **settings) as engine:
+        got = engine.compress_batch([field2d] * 3, EB, "rel")
+        got_back = engine.decompress_batch([r.stream for r in got])
+    assert [r.stream for r in got] == [r.stream for r in want]
+    assert [r.stream for r in want] != [results[1].stream] * 3
+    for a, b in zip(got_back, want_back):
+        assert np.array_equal(a, b)
+
+
+def test_fault_plan_is_fixed_per_call(reference):
+    """A call runs the fault plan that was active when it started.
+
+    The source installs an always-failing plan after its first item; with
+    ``retries=0`` a plan read per task would quarantine item 1, while the
+    plan resolved at the call's start decodes every item.
+    """
+    results, recons = reference
+
+    def streams():
+        try:
+            yield results[0].stream
+            faults.install(faults.FaultPlan.parse("transient_error:p=1"))
+            for r in results[1:]:
+                yield r.stream
+        finally:
+            faults.uninstall()
+
+    try:
+        with Engine(jobs=1, retries=0) as engine:
+            back = list(engine.decompress_stream(streams()))
+    finally:
+        faults.uninstall()
+    assert len(back) == len(recons)
     for got, want in zip(back, recons):
         assert np.array_equal(got, want)
 
@@ -397,8 +428,8 @@ def test_interp_scratch_zero_allocation_steady_state(fields):
 
 
 def test_buffer_pool_reuses_scratches(fields):
-    pool = BufferPool()
-    with Engine(jobs=1, buffer_pool=pool) as engine:
+    with Engine(jobs=1) as engine:
+        pool = engine.buffer_pool
         engine.compress_batch(fields, EB, "rel")
         first_created = pool.n_created
         warm_allocs = pool.n_allocations
@@ -501,6 +532,13 @@ def test_engine_config_validation():
         Engine(jobs=0)
     with pytest.raises(ConfigError):
         Engine(pool="greenlet")
+
+
+@pytest.mark.parametrize("backoff", [float("nan"), float("inf"), -0.5])
+def test_engine_rejects_non_finite_backoff(backoff):
+    """A nan backoff would silently disable the retry sleep (``nan > 0``)."""
+    with pytest.raises(ConfigError, match="backoff"):
+        Engine(backoff=backoff)
 
 
 @pytest.mark.parametrize("chunk", [(0,), (3, 4), (65536,)], ids=str)
