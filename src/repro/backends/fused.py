@@ -37,9 +37,14 @@ Per slab:
    (:func:`~repro.core.quantize.encode_sign_magnitude_int16`); a slab
    whose residuals saturate (checked per slab) is first counted and
    clamped to ±0x7FFF.  The codes are then gathered into chunk-major
-   order a whole ``chunk[-1]``-code run at a time;
-3. emit whole 32x32-bit tiles of the chunk-major codes through a
-   pending-codes buffer (slab size need not divide the 2048-code tile);
+   order a whole ``chunk[-1]``-code run at a time, straight into the
+   tile batch behind the codes carried over from the last one;
+3. hand every full batch of :data:`TILE_BATCH_CODES` codes to the tile
+   codec in one call.  The tile codec has its own, larger size: its ~30
+   NumPy calls cost as much for one 2048-code tile as for 128, and its
+   planes take 2 bytes a code, so a 256K-code batch stays in L2 where a
+   Lorenzo slab that large would not (a 1M-code batch spills L2 and is
+   slower again).  Only the field's final partial tile is zero-padded;
 4. bit-transpose each batch of tiles in *bit-plane-major* layout — all
    five masked-swap passes then run over long contiguous runs instead of
    the tile-major layout's stride-``j`` hops — and derive zero-block flags
@@ -59,13 +64,14 @@ Decoding runs the same argument in reverse: instead of four staged
 full-array passes (zero-block scatter → bit un-transpose → sign-magnitude
 decode → inverse Lorenzo/dequant), :func:`_fused_decode_codes` walks the
 field in slabs of whole chunk-rows (cutting wide chunk-rows into the
-encoder's chunk-column blocks measured no decode gain) and, per slab,
-scatters only the needed tiles' literal blocks straight into the
-bit-plane-major layout (mask assignment into the same 16-byte block view
-the encoder gathers from), applies the masked-swap network once more (the
-transpose is an involution), and un-gathers chunk-major codes into
-row-major order a whole ``chunk[-1]``-code run at a time, as the encoder
-gathers them.  The sign-magnitude decode is branch-free
+encoder's chunk-column blocks measured no decode gain) and, per batch of
+at least :data:`TILE_BATCH_CODES` codes, scatters only the needed tiles'
+literal blocks straight into the bit-plane-major layout (mask assignment
+into the same 16-byte block view the encoder gathers from) and applies
+the masked-swap network once more (the transpose is an involution).  Per
+slab it then un-gathers chunk-major codes into row-major order a whole
+``chunk[-1]``-code run at a time, as the encoder gathers them.  The
+sign-magnitude decode is branch-free
 (:func:`~repro.core.quantize.decode_sign_magnitude_into`): with
 ``s = int16(code) >> 15`` the value is ``((code & 0x7FFF) ^ s) - s``,
 computed in place over the slab's int16 codes with same-type loops and
@@ -117,18 +123,24 @@ from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import Scratch
 from repro.utils.validation import check_finite
 
-__all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES"]
+__all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES", "TILE_BATCH_CODES"]
 
 #: Quantization codes per bitshuffle tile (2048 = 4 KiB of uint16).
 TILE_CODES = 2 * TILE_WORDS
 
 #: Aim for ~64K codes per encoder slab (chunk-rows, or chunk-row x
 #: chunk-column blocks once a chunk-row exceeds twice this): one float64
-#: quotient buffer, two int32 residual buffers and two uint16 code
-#: buffers, 1.25 MiB, big enough to amortize ufunc dispatch and small
+#: quotient buffer, two int32 residual buffers and one uint16 code
+#: buffer, 1.125 MiB, big enough to amortize ufunc dispatch and small
 #: enough to stay in a 2 MiB per-core L2 through all fused steps.  The
 #: decoder's slabs are whole chunk-rows of this many codes or more.
 TARGET_SLAB_CODES = 1 << 16
+
+#: Codes per tile-codec call: 128 tiles, 512 KiB of bit planes, still
+#: inside a 2 MiB per-core L2.  The tile codec's ~30 NumPy calls cost the
+#: same for 1 tile as for 128, so it runs on batches of several slabs
+#: (a 512-tile batch spills L2 and is slower again).
+TILE_BATCH_CODES = 1 << 18
 
 #: A slab with ``max |q| <= 2**27`` runs in int32: each of the up-to-three
 #: Lorenzo difference levels at most doubles the magnitude, so every
@@ -240,7 +252,9 @@ class TileDecoder:
     decodes any code range from its covering tiles alone: the tiles' flag
     mask scatters their literals, kept as 16-byte ``void`` items, into the
     stream-order block view of the planes (a range of literal-free tiles
-    skips the scatter).
+    skips the scatter).  It decodes at least :data:`TILE_BATCH_CODES`
+    codes at a time and serves later ranges inside that batch from it, so
+    a decoder owns its ``fzd.*`` scratch keys until its last call.
     """
 
     def __init__(self, encoded: EncodedBlocks, n_codes: int, scratch: Scratch):
@@ -268,29 +282,43 @@ class TileDecoder:
             dtype=np.int64,
             out=self._lit_tile_start[1:],
         )
+        # the decoded batch: tiles [t0, t1) as chunk-major codes
+        self._batch = (0, -1, None)
 
     def codes(self, lo: int, hi: int) -> np.ndarray:
-        """Codes ``[lo, hi)`` of the stream, as a view into the scratch."""
+        """Codes ``[lo, hi)`` of the stream, as a view into the scratch.
+
+        A range inside the last decoded batch is served from it; any other
+        range decodes a new batch from its own first tile.  Writing to the
+        view spoils those codes for a later range that covers them again.
+        """
         t_lo = lo // TILE_CODES
         t_hi = -(-hi // TILE_CODES)
-        n_tiles = t_hi - t_lo
-        M = n_tiles * 32
-        B = self._scratch.take("fzd.planes", (32, M), np.uint32)
-        B.fill(0)
-        # zero-block scatter straight into the bit-plane-major layout, by
-        # the tiles' flag mask (a run of literal-free tiles skips it)
-        l_lo, l_hi = self._lit_tile_start[t_lo], self._lit_tile_start[t_hi]
-        if l_hi > l_lo:
-            mask = self._byteflags[t_lo * 256 : t_hi * 256]
-            _block_view(B, n_tiles)[mask.reshape(n_tiles, 32, 8)] = (
-                self._literals[l_lo:l_hi]
-            )
-        # the masked-swap network is an involution: one more pass undoes
-        # the encoder's transpose
-        _transpose_bitplanes(B, self._scratch)
-        cm32 = self._scratch.take("fzd.cm32", (M, 32), np.uint32)
-        np.copyto(cm32, B.T)
-        base = t_lo * TILE_CODES
+        t0, t1, cm32 = self._batch
+        if not t0 <= t_lo <= t_hi <= t1:
+            # decode a new batch of whole tiles from this range's first one
+            t0 = t_lo
+            t1 = max(t_hi, min(t_lo + TILE_BATCH_CODES // TILE_CODES,
+                               self._lit_tile_start.size - 1))
+            n_tiles = t1 - t0
+            M = n_tiles * 32
+            B = self._scratch.take("fzd.planes", (32, M), np.uint32)
+            B.fill(0)
+            # zero-block scatter straight into the bit-plane-major layout,
+            # by the tiles' flag mask (a run of literal-free tiles skips it)
+            l_lo, l_hi = self._lit_tile_start[t0], self._lit_tile_start[t1]
+            if l_hi > l_lo:
+                mask = self._byteflags[t0 * 256 : t1 * 256]
+                _block_view(B, n_tiles)[mask.reshape(n_tiles, 32, 8)] = (
+                    self._literals[l_lo:l_hi]
+                )
+            # the masked-swap network is an involution: one more pass
+            # undoes the encoder's transpose
+            _transpose_bitplanes(B, self._scratch)
+            cm32 = self._scratch.take("fzd.cm32", (M, 32), np.uint32)
+            np.copyto(cm32, B.T)
+            self._batch = (t0, t1, cm32)
+        base = t0 * TILE_CODES
         return cm32.reshape(-1).view(np.uint16)[lo - base : hi - base]
 
 
@@ -335,39 +363,18 @@ def _fused_encode_codes(
     inv = np.float64(2.0 * eb_abs)
 
     # every buffer is sized for a full slab; a clipped slab takes a
-    # contiguous prefix, so a ragged last block allocates nothing
+    # contiguous prefix, so a ragged last block allocates nothing.  Slabs
+    # gather their chunk-major codes straight into the tile batch, behind
+    # the fewer than TILE_BATCH_CODES codes carried over from the last
+    # full batch
     fbuf = scratch.take("fz.f64", (slab_n,), np.float64)
-    cbuf = scratch.take("fz.c16", (slab_n,), np.uint16)
     mbuf = scratch.take("fz.m16", (slab_n,), np.uint16)
-    pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
+    cap = min(TILE_BATCH_CODES + slab_n, math.prod(padded))
+    batch = scratch.take("fz.batch", (cap + (-cap) % TILE_CODES,), np.uint16)
     n_pend = 0
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     n_sat = 0
     max_abs = 0
-
-    def flush_tiles(codes_cm: np.ndarray) -> None:
-        """Emit whole tiles from contiguous chunk-major codes + the carry."""
-        nonlocal n_pend
-        if n_pend:
-            need = TILE_CODES - n_pend
-            if codes_cm.size >= need:
-                pend[n_pend:] = codes_cm[:need]
-                n_pend = 0
-                parts.append(encode_tiles(pend, scratch))
-                codes_cm = codes_cm[need:]
-            else:
-                pend[n_pend : n_pend + codes_cm.size] = codes_cm
-                n_pend += codes_cm.size
-                return
-        n_full = codes_cm.size // TILE_CODES
-        rest = codes_cm[n_full * TILE_CODES :]
-        if n_full:
-            parts.append(
-                encode_tiles(codes_cm[: n_full * TILE_CODES], scratch)
-            )
-        if rest.size:
-            pend[: rest.size] = rest
-            n_pend = rest.size
 
     # chunk-major gather: (g0, c0, g1, c1[, g2, c2]) ->
     #                     (g0, g1[, g2], c0, c1[, c2])
@@ -454,7 +461,7 @@ def _fused_encode_codes(
         # about half the time of an element-wise transposing cast, whose
         # inner loop is one run long
         rm = mbuf[:n]
-        cm = cbuf[:n]
+        cm = batch[n_pend : n_pend + n]
         np.copyto(rm.view(np.int16).reshape(dims), delta, casting="unsafe")
         encode_sign_magnitude_int16(rm.view(np.int16), rm, cm)
         view_shape: tuple[int, ...] = ()
@@ -462,12 +469,19 @@ def _fused_encode_codes(
             view_shape += (d // c, c)
         runs = rm.reshape(view_shape).view(run)[..., 0].transpose(perm[:-1])
         np.copyto(cm.view(run).reshape(runs.shape), runs)
-        flush_tiles(cm)
+        n_pend += n
+        done = n_pend - n_pend % TILE_BATCH_CODES
+        for lo in range(0, done, TILE_BATCH_CODES):
+            parts.append(encode_tiles(batch[lo : lo + TILE_BATCH_CODES], scratch))
+        if done:
+            n_pend -= done
+            batch[:n_pend] = batch[done : done + n_pend]
 
     if n_pend:
-        pend[n_pend:] = 0  # zero-pad the final partial tile, as reference
-        n_pend = 0
-        parts.append(encode_tiles(pend, scratch))
+        # zero-pad the final partial tile, as reference does
+        tail = n_pend + (-n_pend) % TILE_CODES
+        batch[n_pend:tail] = 0
+        parts.append(encode_tiles(batch[:tail], scratch))
     return join_tiles(parts), padded, QuantizerStats(n_sat, 0, max_abs)
 
 

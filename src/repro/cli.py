@@ -449,11 +449,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import contextlib
     import signal
 
-    from repro import telemetry
-    from repro.serve import App, ServeConfig, Server
+    from repro.serve import App, ServeConfig, Server, enable_metrics
 
     # /metrics should report live counters even without --trace/--metrics
-    telemetry.enable()
+    enable_metrics()
     engine = _cli_engine(args)
     config = ServeConfig(
         host=args.host,

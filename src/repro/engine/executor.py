@@ -1168,13 +1168,20 @@ class Engine:
     # -- region-of-interest / progressive decode ---------------------------
 
     def _roi_read_plan(self, fileobj: BinaryIO, slab) -> RoiPlan:
-        """Read the container indexes and intersect ``slab`` with them."""
-        with telemetry.span("engine.read_index"):
-            indexes = fzmc.read_containers(fileobj)
-        with telemetry.span("roi.plan") as sp:
-            plan = plan_roi(indexes, slab)
-            sp.set("n_segments", plan.n_segments)
-            sp.set("n_intersecting", len(plan.tasks))
+        """Read the container indexes and intersect ``slab`` with them.
+
+        A ``slab`` that is already a :class:`~repro.roi.RoiPlan` is used as
+        it is, and counted as a request all the same.
+        """
+        if isinstance(slab, RoiPlan):
+            plan = slab
+        else:
+            with telemetry.span("engine.read_index"):
+                indexes = fzmc.read_containers(fileobj)
+            with telemetry.span("roi.plan") as sp:
+                plan = plan_roi(indexes, slab)
+                sp.set("n_segments", plan.n_segments)
+                sp.set("n_intersecting", len(plan.tasks))
         if telemetry.enabled():
             telemetry.counter("roi.requests")
             telemetry.counter("roi.chunks_skipped", plan.n_skipped)
@@ -1346,12 +1353,15 @@ class Engine:
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
 
-        ``source`` is a container blob or a seekable binary file object.
-        Tiles arrive in file order, one output-row band per intersecting
-        segment: constant segments yield a single exact tile synthesized
-        from their 52-byte header, interpolation segments yield a level-0
-        anchor-grid preview (``final=False``) *before* their exact
-        reconstruction, and fast segments yield one exact tile.
+        ``source`` is a container blob or a seekable binary file object;
+        ``slab`` is a slab spec, or a :class:`~repro.roi.RoiPlan` that
+        :func:`~repro.roi.plan_roi` made from ``source``'s indexes (it is
+        not planned again).  Tiles arrive in file order, one output-row
+        band per intersecting segment: constant segments yield a single
+        exact tile synthesized from their 52-byte header, interpolation
+        segments yield a level-0 anchor-grid preview (``final=False``)
+        *before* their exact reconstruction, and fast segments yield one
+        exact tile.
         Concatenating the ``final`` tiles along axis 0 reproduces
         :meth:`decompress_roi` byte-identically; exact decodes run through
         the worker pool and overlap with preview delivery.

@@ -136,21 +136,6 @@ class FaultSpec:
             return True
         return _unit_hash(self.seed, self.site, key, attempt) < self.p
 
-    def to_text(self) -> str:
-        parts = [self.site + ":"]
-        fields = []
-        if self.p != 1.0:
-            fields.append(f"p={self.p:g}")
-        if self.at:
-            fields.append("at=" + "|".join(str(k) for k in sorted(self.at)))
-        if self.times != 1:
-            fields.append(f"times={self.times}")
-        if self.seed != 0:
-            fields.append(f"seed={self.seed}")
-        if self.hang_s != 30.0:
-            fields.append(f"hang_s={self.hang_s:g}")
-        return parts[0] + ",".join(fields)
-
 
 class FaultPlan:
     """An immutable set of :class:`FaultSpec`, at most one per site."""
@@ -193,10 +178,6 @@ class FaultPlan:
                     raise ConfigError(f"bad fault field value {item!r}") from exc
             specs.append(FaultSpec(site=site.strip(), **kwargs))
         return cls(specs)
-
-    def to_text(self) -> str:
-        """Serialize back to plan syntax (``parse`` round-trips)."""
-        return ";".join(self.specs[s].to_text() for s in SITES if s in self.specs)
 
     def spec_for(self, site: str, key: int, attempt: int) -> FaultSpec | None:
         spec = self.specs.get(site)

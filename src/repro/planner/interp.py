@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry
-from repro.backends.fused import TARGET_SLAB_CODES, TILE_CODES, TileDecoder
+from repro.backends.fused import TILE_BATCH_CODES, TILE_CODES, TileDecoder
 from repro.backends.fused import encode_tiles, join_tiles
 from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks
 from repro.core.format import MAX_ELEMENTS, implied_block_count
@@ -438,8 +438,8 @@ def interp_compress(
         n_sat, max_abs = _run_levels(
             rec, data, codes, anchor_log2, eb2, True, impl_pass, scratch
         )
-    with telemetry.span("stage.encode"):  # in cache-sized slabs of tiles
-        step = TARGET_SLAB_CODES
+    with telemetry.span("stage.encode"):  # in cache-sized batches of tiles
+        step = TILE_BATCH_CODES
         encoded = join_tiles([
             encode_tiles(padded[lo : lo + step], scratch)
             for lo in range(0, padded.size, step)
@@ -659,8 +659,8 @@ def interp_decompress(
     with telemetry.span("stage.decode"):
         tiles = TileDecoder(encoded, n_codes, scratch)
         codes = scratch.take("fzin.codes", shape, np.uint16)
-        for lo in range(0, n_codes, TARGET_SLAB_CODES):
-            hi = min(lo + TARGET_SLAB_CODES, n_codes)
+        for lo in range(0, n_codes, TILE_BATCH_CODES):
+            hi = min(lo + TILE_BATCH_CODES, n_codes)
             codes.reshape(-1)[lo:hi] = tiles.codes(lo, hi)
     with telemetry.span("stage.interp.reconstruct"):
         eb2 = 2.0 * eb_abs

@@ -22,7 +22,7 @@ Typical embedding (the test fixtures do exactly this)::
 From the command line: ``repro serve --port 8080 --jobs 4``.
 """
 
-from repro.serve.app import App, ServeConfig, error_response
+from repro.serve.app import App, ServeConfig, enable_metrics, error_response
 from repro.serve.http import (
     HttpError,
     Limits,
@@ -50,6 +50,7 @@ __all__ = [
     "Response",
     "QuotaTable",
     "TokenBucket",
+    "enable_metrics",
     "error_response",
     "read_request",
     "read_request_head",

@@ -15,9 +15,10 @@ PRs and is *reused* here rather than reimplemented:
   the read on the container index up front with :func:`~repro.roi.plan_roi`
   (typed 4xx on malformed framing or slabs, via the same
   BoundedReader-hardened parsers the CLI uses), then streams the final
-  tiles of ``Engine.iter_roi_tiles``.  A full decode is a full-slab ROI
-  read: constant segments are synthesized from their header, and interp
-  segments also compute the anchor-grid preview that the wire drops.
+  tiles of ``Engine.iter_roi_tiles`` over that same plan.  A full decode
+  is a full-slab ROI read: constant segments are synthesized from their
+  header, and interp segments also compute the anchor-grid preview that
+  the wire drops.
 * **Fault tolerance** is the engine's own retry/quarantine/pool-rebuild
   machinery: a worker crash mid-request surfaces as a typed 5xx with a
   structured JSON body — or, after response headers are already out, as a
@@ -87,10 +88,25 @@ from repro.serve.http import (
 from repro.serve.quota import QuotaTable
 from repro.telemetry.export import to_prometheus
 
-__all__ = ["ServeConfig", "App"]
+__all__ = ["ServeConfig", "App", "enable_metrics"]
 
 #: request-latency buckets (seconds) for ``serve.request_seconds``
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
+
+#: spans a server started by :func:`enable_metrics` keeps buffered
+SPAN_BUFFER = 4096
+
+
+def enable_metrics() -> None:
+    """Turn the default telemetry recorder on for a live ``/metrics``.
+
+    ``/metrics`` reads only the metrics, which stay exact; the span buffer
+    keeps the last :data:`SPAN_BUFFER` spans, so a long-running server
+    does not grow with every request.
+    """
+    telemetry.enable()
+    telemetry.get_recorder().keep_last(SPAN_BUFFER)
+
 
 _DONE = object()  # stream sentinel: producer finished cleanly
 
@@ -548,7 +564,7 @@ class App:
         )
 
     async def _metrics(self, request: Request) -> Response:
-        text = to_prometheus(self.recorder.snapshot())
+        text = to_prometheus({"metrics": self.recorder.metrics.snapshot()})
         return Response(
             200,
             headers=[("Content-Type", "text/plain; version=0.0.4")],
@@ -636,7 +652,8 @@ class App:
         worker thread, so a malformed container or slab (empty, out of
         range, too many axes) surfaces as a typed 400 *before* any headers
         go out, and only the segments whose row span intersects the slab
-        are ever read or decoded.  The body then streams the final tile of
+        are ever read or decoded.  The engine walks that plan; it does not
+        read the index again.  The body then streams the final tile of
         each intersecting segment (the exact slab bytes, row-major, in
         order), so first bytes reach the client as soon as the first
         segment decodes.
@@ -658,7 +675,7 @@ class App:
             headers.append(("X-Repro-Slab", plan.slab.text()))
 
         def work(stream: _Stream) -> None:
-            for tile in self.engine.iter_roi_tiles(BytesIO(body), spec):
+            for tile in self.engine.iter_roi_tiles(BytesIO(body), plan):
                 if tile.final:
                     stream.push(tile.data.tobytes())
 

@@ -34,6 +34,7 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from typing import Callable
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -166,7 +167,7 @@ class Recorder:
         self._pid = pid
         self._tid = tid
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        self._events: deque[dict] = deque()
         self._ids = itertools.count(1)
         self._local = threading.local()
         self.metrics = MetricsRegistry()
@@ -184,6 +185,15 @@ class Recorder:
         with self._lock:
             self._events.clear()
         self.metrics.clear()
+
+    def keep_last(self, n: int | None) -> None:
+        """Buffer only the ``n`` most recent spans (``None``: every span).
+
+        Metrics are not affected: counters, gauges and histograms stay
+        exact however many spans are dropped.
+        """
+        with self._lock:
+            self._events = deque(self._events, maxlen=n)
 
     # -- spans ------------------------------------------------------------
 
@@ -261,8 +271,8 @@ class Recorder:
         process-pool worker can return it alongside each task result.
         """
         with self._lock:
-            events = self._events
-            self._events = []
+            events = list(self._events)
+            self._events.clear()
         metrics = self.metrics.snapshot()
         self.metrics.clear()
         return {"events": events, "metrics": metrics}

@@ -236,6 +236,59 @@ def test_conformance_blocked_encode(shape, slab):
 
 
 
+
+# Slabs gather their codes into tile batches of TILE_BATCH_CODES, carrying
+# what is left past the last full batch over to the next slab:
+TILE_BATCH_CASES = {
+    # 7 slabs of 65792 codes: a batch boundary inside the 4th slab, and a
+    # code count that is not a multiple of the batch
+    "boundary_in_slab": (100, 4100),
+    # 3 such slabs: the whole field under one batch
+    "under_one_batch": (40, 4100),
+    # cesm: 58368-code slabs of 28.5 tiles, 423168 codes in all
+    "cesm_ragged_tiles": (450, 900),
+    # 3-D blocks of 65536 codes: every 4th slab closes a batch exactly
+    "whole_batches": (16, 256, 256),
+}
+
+
+def _n_codes(shape: tuple[int, ...]) -> int:
+    chunk = chunk_shape_for(len(shape))
+    return int(np.prod([-(-s // c) * c for s, c in zip(shape, chunk)]))
+
+
+@pytest.mark.parametrize(
+    "shape", TILE_BATCH_CASES.values(), ids=list(TILE_BATCH_CASES)
+)
+def test_conformance_tile_batches(shape, monkeypatch):
+    """Tile batches emit reference's bytes, with one tile-codec call per
+    batch: no per-slab call, and no one-tile call for a slab's carry."""
+    calls = []
+    encode_tiles = fused.encode_tiles
+
+    def counting(codes, scratch):
+        calls.append(codes.size)
+        return encode_tiles(codes, scratch)
+
+    monkeypatch.setattr(fused, "encode_tiles", counting)
+    assert_conformant("fused", make_field(shape, "smooth"), 1e-3, "rel")
+    n = _n_codes(shape)
+    batch, tail = fused.TILE_BATCH_CODES, n % fused.TILE_BATCH_CODES
+    padded_tail = [tail + (-tail) % fused.TILE_CODES] if tail else []
+    assert calls == [batch] * (n // batch) + padded_tail
+
+
+@pytest.mark.parametrize("batch_tiles", [1, 3, 29])
+@pytest.mark.parametrize(
+    "shape", [(450, 900), (9, 300, 97), (100000,)], ids=str
+)
+def test_conformance_small_tile_batches(shape, batch_tiles, monkeypatch):
+    """Batches smaller than a slab: each slab closes several batches and
+    carries a part-batch over, still byte-identical to reference."""
+    monkeypatch.setattr(fused, "TILE_BATCH_CODES", batch_tiles * fused.TILE_CODES)
+    assert_conformant("fused", make_field(shape, "rough"), 1e-3, "rel")
+
+
 # The fused encoder quantizes each slab into int32 when max |q| <= 2**27 and
 # into int64 below 2**51.  At eb = 0.5 abs, q = rint(data), and float32
 # holds every integer up to 2**24 and every multiple of 16 up to 2**28, so

@@ -352,7 +352,8 @@ def test_scratch_footprint_blocked_encode():
     """Encoder slabs are cache-sized even when one chunk-row is not.
 
     One 8-row chunk-row of 256x256 planes holds 512K codes; whole-row slabs
-    took 12.8 MiB of scratch for this field, chunk-column blocks ~1.5 MiB.
+    took 12.8 MiB of scratch for this field, chunk-column blocks ~1.5 MiB,
+    and ~2.5 MiB with the 256K-code tile batch.
     """
     scratch = Scratch()
     FZGPU().compress(_wide_planes((16, 256, 256)), EB, "rel", scratch=scratch)

@@ -93,14 +93,15 @@ def _no_leftover_plan():
 # ---------------------------------------------------------------------------
 
 
-def test_plan_parse_serialize_roundtrip():
+def test_plan_parse():
     text = "worker_crash:at=2|5;transient_error:p=0.25,times=2,seed=7"
     plan = faults.FaultPlan.parse(text)
-    again = faults.FaultPlan.parse(plan.to_text())
-    assert again.to_text() == plan.to_text()
-    assert again.specs["worker_crash"].at == frozenset({2, 5})
-    assert again.specs["transient_error"].p == 0.25
-    assert again.specs["transient_error"].times == 2
+    assert plan.specs == {
+        "worker_crash": faults.FaultSpec("worker_crash", at=frozenset({2, 5})),
+        "transient_error": faults.FaultSpec(
+            "transient_error", p=0.25, times=2, seed=7
+        ),
+    }
 
 
 def test_plan_decisions_are_pure_functions():

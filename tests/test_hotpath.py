@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import fused, get_backend
 from repro.backends.fused import TILE_CODES, TileDecoder, encode_tiles, join_tiles
 from repro.core.bitshuffle import bitshuffle, bitunshuffle
 from repro.core.encoder import EncodedBlocks, decode_zero_blocks, encode_zero_blocks
@@ -242,3 +242,43 @@ class TestTileCodecMixedFlags:
             lo, hi = max(0, min(lo, n)), max(0, min(hi, n))
             if lo < hi:
                 assert np.array_equal(tiles.codes(lo, hi), want[lo:hi]), (lo, hi)
+
+
+def _batch_ranges(n: int, batch: int) -> list[tuple[int, int]]:
+    """Code ranges that walk a stream the ways its decoders do."""
+    return [
+        (0, 100), (batch - 5, batch + 7),  # a range straddling the batch
+        (batch + 7, batch + 9),  # ...then one inside the new batch
+        (100, 2 * batch + 50),  # longer than a batch
+        (2 * batch, n), (batch, 2 * batch), (0, batch),  # backwards
+        (n - 3, n), (n // 2 - 1, n // 2 + 1), (1, 2),  # backwards, small
+    ]
+
+
+@pytest.mark.parametrize("batch_tiles", [None, 3])
+def test_tile_decoder_batches(batch_tiles, monkeypatch):
+    """Ranges inside the decoded batch are served from it; any other range
+    decodes a new batch from its own first tile.  Either way every range
+    reads the encoded codes."""
+    if batch_tiles is not None:
+        monkeypatch.setattr(fused, "TILE_BATCH_CODES", batch_tiles * TILE_CODES)
+    batch = fused.TILE_BATCH_CODES
+    n = 2 * batch + 3 * TILE_CODES + 100
+    codes = _mixed_codes(n)
+    encoded = encode_zero_blocks(bitshuffle(codes))
+    tiles = TileDecoder(encoded, n, Scratch())
+    for lo, hi in _batch_ranges(n, batch):
+        assert np.array_equal(tiles.codes(lo, hi), codes[lo:hi]), (lo, hi)
+    # a forward walk in quarter batches transposes each batch once
+    transposes = []
+    transpose = fused._transpose_bitplanes
+    monkeypatch.setattr(
+        fused, "_transpose_bitplanes",
+        lambda B, scratch: transposes.append(B.shape[1]) or transpose(B, scratch),
+    )
+    tiles = TileDecoder(encoded, n, Scratch())
+    step = batch // 4
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        assert np.array_equal(tiles.codes(lo, hi), codes[lo:hi]), (lo, hi)
+    assert len(transposes) == -(-n // batch)

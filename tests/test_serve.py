@@ -16,9 +16,12 @@ import socket
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.engine import Engine, read_containers
+from repro.engine import container as fzmc
 from repro.errors import ConfigError
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, enable_metrics
+from repro.serve.app import SPAN_BUFFER
 from repro.serve.quota import QuotaTable, TokenBucket
 from repro.telemetry.recorder import Recorder
 
@@ -451,6 +454,89 @@ def test_metrics_exports_serve_series():
     assert "serve_bytes_in" in text and "serve_bytes_out" in text
     assert "serve_request_seconds_bucket" in text
     assert "serve_inflight" in text
+
+
+def _roi_counts(rec) -> tuple:
+    counters = {c[0]: c[2] for c in rec.metrics.snapshot()["counters"]}
+    return counters.get("roi.requests"), counters.get("roi.chunks_skipped")
+
+
+@pytest.mark.parametrize("slab", ["64:96,0:32", None])
+def test_decompress_plans_once_and_counts_like_the_engine(slab, monkeypatch):
+    """/v1/decompress reads the container index once per request, and
+    counts ``roi.requests`` / ``roi.chunks_skipped`` as the engine's own
+    progressive read of the same slab does."""
+    reads = []
+    read = fzmc.read_containers
+    monkeypatch.setattr(
+        fzmc, "read_containers", lambda f: reads.append(1) or read(f)
+    )
+    rec = telemetry.get_recorder()
+    target = "/v1/decompress" + ("" if slab is None else f"?slab={slab}")
+    with live_server(jobs=1) as (srv, app, engine):
+        blob = engine.compress_chunked(_field((128, 32), 5), 1e-3, chunk_bytes=4096)
+        counts = []
+        for run in (
+            lambda: request(srv.address, "POST", target, blob)[0] == 200,
+            lambda: len(list(engine.iter_roi_tiles(blob, slab or ()))) > 0,
+        ):
+            telemetry.enable()
+            rec.clear()
+            reads.clear()
+            try:
+                assert run()
+                counts.append((_roi_counts(rec), len(reads)))
+            finally:
+                telemetry.disable()
+                rec.clear()
+    skipped = 3 if slab else 0
+    assert counts == [((1, skipped), 1), ((1, skipped), 1)]
+
+
+def _decompress_requests(n: int, *, bounded: bool) -> tuple[list, str, int]:
+    """Counter totals, ``/metrics`` text and buffered span count after
+    ``n`` decompresses against a live server with the default recorder on."""
+    rec = telemetry.get_recorder()
+    rec.clear()
+    if bounded:
+        enable_metrics()
+    else:
+        telemetry.enable()
+    try:
+        with live_server(jobs=1, pool="thread") as (srv, app, engine):
+            blob = engine.compress_chunked(_field((64, 64), 3), 1e-3)
+            for _ in range(n):
+                assert request(srv.address, "POST", "/v1/decompress", blob)[0] == 200
+            counters = [
+                c for c in rec.metrics.snapshot()["counters"]
+                if not c[0].endswith("_seconds")  # busy times are clock readings
+            ]
+            metrics = request(srv.address, "GET", "/metrics")[2].decode()
+        return counters, metrics, len(rec.snapshot()["events"])
+    finally:
+        telemetry.disable()
+        rec.keep_last(None)
+        rec.clear()
+
+
+def test_serve_span_buffer_stays_bounded():
+    """A server with telemetry on only for /metrics keeps the last
+    SPAN_BUFFER spans, however many requests it serves; every counter
+    still counts every request."""
+    n = 2000
+    counters, metrics, n_events = _decompress_requests(n, bounded=True)
+    assert n_events == SPAN_BUFFER
+    assert dict((c[0], c[2]) for c in counters if not c[1])["roi.requests"] == n
+    assert f'serve_requests{{route="/v1/decompress",status="200"}} {n}' in metrics
+
+
+def test_serve_span_buffer_keeps_counters_exact():
+    """The same requests count the same with and without the span bound."""
+    n = SPAN_BUFFER // 3  # about 5 spans a request: past the bound
+    bounded, _, n_bounded = _decompress_requests(n, bounded=True)
+    full, _, n_full = _decompress_requests(n, bounded=False)
+    assert n_bounded == SPAN_BUFFER < n_full
+    assert bounded == full
 
 
 def test_head_request_omits_body(server):
