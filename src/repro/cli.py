@@ -28,6 +28,8 @@ import sys
 
 import numpy as np
 
+from repro.errors import ReproError
+
 __all__ = ["main", "build_parser"]
 
 _CODECS = ("fz-gpu", "cusz", "cusz-rle", "cuszx", "mgard", "cuzfp")
@@ -217,7 +219,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
                            rep.original_bytes, rep.compressed_bytes)
                     if args.verify:
                         verify(src.name, load_field(src, shape=args.shape),
-                               engine.decompress_file(dst), rep.eb_abs)
+                               engine.decompress(dst), rep.eb_abs)
             else:
                 fields = [load_field(p, shape=args.shape) for p in inputs]
                 results = engine.compress_batch(
@@ -257,43 +259,22 @@ def cmd_decompress(args: argparse.Namespace) -> int:
 
     from repro.engine.container import looks_like_container
 
-    if args.salvage and not looks_like_container(args.input):
-        raise SystemExit("--salvage needs a multi-chunk container input")
-    if args.roi and not looks_like_container(args.input):
-        raise SystemExit("--roi needs a multi-chunk container input")
-    if args.roi:
-        with _cli_engine(args) as engine:
-            if args.salvage:
-                recon, report = engine.decompress_roi_file(
-                    args.input, args.roi, args.output, salvage=True
-                )
-                print(report.summary())
-                print(
-                    f"reconstructed ROI {args.roi} -> {recon.shape} float32 "
-                    f"(salvaged) -> {args.output}"
-                )
-                return 0 if report.lost_bytes == 0 else 1
-            recon = engine.decompress_roi_file(args.input, args.roi, args.output)
-        print(
-            f"reconstructed ROI {args.roi} -> {recon.shape} float32 -> "
-            f"{args.output}"
-        )
-        return 0
     if looks_like_container(args.input):
         with _cli_engine(args) as engine:
-            if args.salvage:
-                recon, report = engine.decompress_file(
-                    args.input, args.output, salvage=True
-                )
-                print(report.summary())
-                print(
-                    f"reconstructed {recon.shape} float32 (salvaged) -> "
-                    f"{args.output}"
-                )
-                return 0 if report.lost_bytes == 0 else 1
-            recon = engine.decompress_file(args.input, args.output)
-        print(f"reconstructed {recon.shape} float32 (multi-chunk) -> {args.output}")
-        return 0
+            result = engine.decompress(
+                args.input, slab=args.roi or None, salvage=args.salvage
+            )
+        recon, report = result if args.salvage else (result, None)
+        save_field(args.output, recon)
+        if args.salvage:
+            print(report.summary())
+        what = f"ROI {args.roi} -> " if args.roi else ""
+        how = " (salvaged)" if args.salvage else ("" if args.roi else " (multi-chunk)")
+        print(f"reconstructed {what}{recon.shape} float32{how} -> {args.output}")
+        return int(args.salvage and report.lost_bytes > 0)
+    for flag in ("salvage", "roi"):
+        if getattr(args, flag):
+            raise SystemExit(f"--{flag} needs a multi-chunk container input")
     stream = load_stream(args.input)
     codec = _make_codec(args.codec, args)
     if args.codec == "fz-gpu":
@@ -646,6 +627,11 @@ def main(argv: list[str] | None = None) -> int:
     recording = _telemetry_begin(args)
     try:
         return args.fn(args)
+    except ReproError as exc:
+        # an expected failure (bad input, damaged stream, violated config)
+        # is one line on stderr, not a traceback
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         if recording:
             _telemetry_end(args)

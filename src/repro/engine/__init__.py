@@ -4,13 +4,15 @@ Public surface:
 
 * :class:`~repro.engine.executor.Engine` — batch + streaming front-end to
   the FZ-GPU codec (``compress_batch``, ``decompress_batch``,
-  ``compress_file``, ``decompress_file``), with bounded-retry fault
-  tolerance and salvage decode (see ``docs/RELIABILITY.md``).
+  ``compress_file``), with bounded-retry fault tolerance.  One container
+  decode entry, ``decompress(source, *, slab=None, salvage=False)``, takes
+  bytes, a file object or a path, and covers full, ROI and salvage decodes
+  (see ``docs/RELIABILITY.md``).
 * :mod:`repro.engine.container` — the segmented multi-chunk ``.fz``
   container format (``FZMC0002``) plus the salvage primitives
   (:func:`~repro.engine.container.resync_segments`,
   :class:`~repro.engine.container.SalvageReport`).
-* ROI / progressive decode — ``Engine.decompress_roi`` /
+* ROI / progressive decode — ``Engine.decompress(source, slab=...)`` /
   ``Engine.iter_roi_tiles`` decode only the container segments whose row
   span intersects a requested hyperslab (see :mod:`repro.roi`, re-exported
   here as :class:`~repro.roi.Slab` / :func:`~repro.roi.plan_roi` /

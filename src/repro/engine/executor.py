@@ -12,7 +12,7 @@
   :class:`~repro.utils.pool.BufferPool`, and each process worker owns one,
   so steady-state batch throughput performs no per-call allocation of
   quantization/bitshuffle temporaries.
-* **streaming** — ``compress_file``/``decompress_file`` process one large
+* **streaming** — ``compress_file``/``decompress`` process one large
   field in fixed-size chunks through the multi-chunk container format
   (:mod:`repro.engine.container`), never materializing the whole stream in
   memory.  Chunk boundaries are aligned to the Lorenzo chunk grid along
@@ -26,7 +26,7 @@
   a task that keeps failing is *quarantined* with a structured
   :class:`TaskFailure` instead of a stringly exception, and a corrupted
   multi-chunk container can be **salvage-decoded**
-  (``decompress_chunked_from(..., salvage=True)``), recovering every
+  (``decompress(source, salvage=True)``), recovering every
   intact segment and accounting for the rest in a
   :class:`~repro.engine.container.SalvageReport`.  See
   ``docs/RELIABILITY.md`` for the fault model.
@@ -47,6 +47,7 @@ import os
 import pathlib
 import threading
 import time
+from contextlib import contextmanager
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -267,11 +268,11 @@ class FileReport:
 _WORKER: tuple[FZGPU, Scratch] | None = None
 
 
-def _init_worker(chunk, backend) -> None:
+def _init_worker(backend) -> None:
     """Pool initializer: set this worker process up once for its lifetime.
 
-    Builds the worker's one :class:`FZGPU` from the engine's ``chunk`` and
-    backend name, and its one :class:`Scratch`.  Drops the recorder state a
+    Builds the worker's one :class:`FZGPU` from the engine's backend name,
+    and its one :class:`Scratch`.  Drops the recorder state a
     fork-started worker inherited from the parent, or every worker would
     ship the parent's pre-fork spans and metrics home for re-merging.
 
@@ -287,7 +288,7 @@ def _init_worker(chunk, backend) -> None:
     ``getppid()`` read here would already see the new parent.
     """
     global _WORKER
-    _WORKER = (FZGPU(chunk=chunk, backend=backend), Scratch())
+    _WORKER = (FZGPU(backend=backend), Scratch())
     telemetry.get_recorder().clear()
     parent = multiprocessing.parent_process()
 
@@ -442,8 +443,6 @@ class Engine:
         or ``"process"`` (for Python-overhead-bound workloads; fields and
         streams cross the process boundary in shared memory where the
         platform has it, pickled otherwise — the bytes are the same).
-    chunk:
-        Optional FZ-GPU chunk-shape override, forwarded to every codec.
     backend:
         Optional kernel-backend selection forwarded to every codec: a
         registered name (``"fused"``, ``"reference"``), a
@@ -481,7 +480,6 @@ class Engine:
         self,
         jobs: int = 1,
         pool: str = "thread",
-        chunk: tuple[int, ...] | None = None,
         backend=None,
         retries: int = DEFAULT_RETRIES,
         task_timeout: float | None = None,
@@ -509,7 +507,6 @@ class Engine:
         self.retries = retries
         self.task_timeout = task_timeout
         self.backoff = backoff
-        self._chunk = chunk
         if isinstance(backend, str) and backend != "auto":
             from repro.backends import get_backend
 
@@ -517,7 +514,7 @@ class Engine:
         self.backend = backend
         # process workers get the selection by name (instances don't pickle)
         self._backend_sel = getattr(backend, "name", backend)
-        self._codec = FZGPU(chunk=chunk, backend=backend)
+        self._codec = FZGPU(backend=backend)
         self._executor: Executor | None = None
         self._degraded = False
         self._pending_lock = threading.Lock()
@@ -536,7 +533,7 @@ class Engine:
             else:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs, initializer=_init_worker,
-                    initargs=(self._chunk, self._backend_sel),
+                    initargs=(self._backend_sel,),
                 )
         return self._executor
 
@@ -1037,9 +1034,6 @@ class Engine:
 
     # -- chunked / streaming API -------------------------------------------
 
-    def _axis0_align(self, ndim: int) -> int:
-        return chunk_shape_for(ndim, self._chunk)[0]
-
     def compress_chunked_to(
         self,
         fileobj: BinaryIO,
@@ -1072,7 +1066,7 @@ class Engine:
             )
         eb = ensure_positive(eb, "eb")
         plan = self.plan if plan is None else normalize_plan(plan)
-        spans = plan_chunks(data.shape, self._axis0_align(data.ndim), chunk_bytes)
+        spans = plan_chunks(data.shape, chunk_shape_for(data.ndim)[0], chunk_bytes)
         with telemetry.span("engine.compress_file") as root:
             root.set("n_chunks", len(spans))
             root.set("plan", plan)
@@ -1132,38 +1126,105 @@ class Engine:
         self.compress_chunked_to(buf, data, eb, mode, chunk_bytes, plan=plan)
         return buf.getvalue()
 
-    def decompress_chunked_from(
-        self, fileobj: BinaryIO, salvage: bool = False
-    ):
-        """Decode a (possibly concatenated) multi-chunk container.
+    def decompress(self, source, *, slab=None, salvage: bool = False):
+        """Decode a multi-chunk container: the whole field, or one slab of it.
 
-        Concatenated containers must agree on their trailing dimensions and
-        are stitched along axis 0 — the natural "append more chunks by
-        appending a container" streaming idiom.  A full decode is an ROI
-        decode over the full slab: one :func:`~repro.roi.plan_roi` plan,
-        scattered by :meth:`_scatter`.
+        ``source`` is the container's bytes, a seekable binary file object,
+        or a path (``str``/``os.PathLike``), which is opened and closed
+        inside the call.  Concatenated containers must agree on their
+        trailing dimensions and are stitched along axis 0 — the natural
+        "append more chunks by appending a container" streaming idiom.
+
+        ``slab=None`` decodes the whole field.  Otherwise ``slab`` is a
+        :class:`~repro.roi.Slab`, a ``"start:stop,..."`` spec string, a
+        sequence of slices/``(start, stop)`` pairs
+        (:func:`~repro.roi.resolve_slab` semantics; missing trailing axes
+        select whole dimensions), or a :class:`~repro.roi.RoiPlan` that
+        :func:`~repro.roi.plan_roi` made from ``source``'s indexes.  Only
+        the segments whose axis-0 row span intersects the slab are read,
+        CRC-checked and decoded (``roi.chunks_skipped`` counts the rest),
+        and the result is **byte-identical** to the full decode's
+        ``[slab]``.
 
         With ``salvage=True`` a damaged container is decoded best-effort
-        instead of raising: every CRC-valid segment is recovered
-        bit-identically, damaged extents are NaN-filled, and the method
-        returns ``(array, SalvageReport)`` where the report accounts for
-        every byte (``recovered_bytes + lost_bytes == total_bytes``).  See
-        :meth:`_decompress_salvage` for the two recovery strategies.
+        instead of raising, and the call returns ``(array, SalvageReport)``
+        whose report accounts for every byte
+        (``recovered_bytes + lost_bytes == total_bytes``).  Every CRC-valid
+        segment is recovered bit-identically and damaged extents are
+        NaN-filled.  A slab salvage scopes the report to the slab: damage
+        outside it is invisible, and the index trailer must parse.  A full
+        salvage whose index trailer does not parse (truncation, trailer
+        damage) falls back to a forward scan for CRC-valid ``FZSG`` frames
+        (:func:`~repro.engine.container.resync_segments`), stitched along
+        axis 0 in file order.
         """
-        if salvage:
-            return self._decompress_salvage(fileobj)
-        with telemetry.span("engine.decompress_file") as root:
-            with telemetry.span("engine.read_index"):
-                plan = plan_roi(fzmc.read_containers(fileobj), ())
-            root.set("n_chunks", plan.n_segments)
-            out, _ = self._scatter(fileobj, plan)
-            root.set("bytes_in", sum(t.entry.seg_bytes for t in plan.tasks))
-            root.set("bytes_out", int(out.nbytes))
-        return out
+        with _opened(source) as fileobj:
+            if slab is not None:
+                with telemetry.span("engine.decompress_roi") as root:
+                    plan = self._roi_read_plan(fileobj, slab)
+                    root.set("n_segments", plan.n_segments)
+                    root.set("n_intersecting", len(plan.tasks))
+                    if salvage:
+                        out, report = self._roi_salvage(fileobj, plan)
+                    else:
+                        out = self._roi_strict(fileobj, plan)
+                    root.set("bytes_out", int(out.nbytes))
+            elif not salvage:
+                with telemetry.span("engine.decompress_file") as root:
+                    with telemetry.span("engine.read_index"):
+                        plan = plan_roi(fzmc.read_containers(fileobj), ())
+                    root.set("n_chunks", plan.n_segments)
+                    out, _ = self._scatter(fileobj, plan)
+                    root.set("bytes_in", sum(t.entry.seg_bytes for t in plan.tasks))
+                    root.set("bytes_out", int(out.nbytes))
+            else:
+                with telemetry.span("engine.salvage") as root:
+                    try:
+                        indexes = fzmc.read_containers(fileobj)
+                    except FormatError as exc:
+                        # only an unreadable index re-syncs; a plan error
+                        # (an axis-1 container) stays typed
+                        root.set("index_error", str(exc))
+                        fileobj.seek(0)
+                        out, report = self._salvage_resync(
+                            fzmc.resync_segments(fileobj.read())
+                        )
+                    else:
+                        out, report = self._scatter(
+                            fileobj, plan_roi(indexes, ()), salvage=True
+                        )
+                    root.set("resynced", report.resynced)
+                    root.set("recovered_bytes", report.recovered_bytes)
+                    root.set("lost_bytes", report.lost_bytes)
+                if telemetry.enabled():
+                    telemetry.counter("engine.salvage")
+                    for seg in report.segments:
+                        labels = {"status": seg.status}
+                        telemetry.counter("engine.salvage_segments", 1, labels)
+                        telemetry.counter("engine.salvage_bytes", seg.nbytes, labels)
+        return (out, report) if salvage else out
+
+    # The six names below only delegate to :meth:`decompress`; perfbench's
+    # tracer wraps each of them by name.  ``output_path`` saves the array.
 
     def decompress_chunked(self, blob: bytes, salvage: bool = False):
-        """In-memory variant of :meth:`decompress_chunked_from`."""
-        return self.decompress_chunked_from(BytesIO(blob), salvage=salvage)
+        return self.decompress(blob, salvage=salvage)
+
+    def decompress_chunked_from(self, fileobj: BinaryIO, salvage: bool = False):
+        return self.decompress(fileobj, salvage=salvage)
+
+    def decompress_roi(self, blob: bytes, slab, salvage: bool = False):
+        return self.decompress(blob, slab=slab, salvage=salvage)
+
+    def decompress_roi_from(self, fileobj: BinaryIO, slab, salvage: bool = False):
+        return self.decompress(fileobj, slab=slab, salvage=salvage)
+
+    def decompress_file(self, input_path, output_path=None, salvage: bool = False):
+        return _saved(self.decompress(input_path, salvage=salvage), output_path)
+
+    def decompress_roi_file(self, input_path, slab, output_path=None, salvage=False):
+        return _saved(self.decompress(input_path, slab=slab, salvage=salvage),
+                      output_path)
 
     # -- region-of-interest / progressive decode ---------------------------
 
@@ -1304,42 +1365,6 @@ class Engine:
             telemetry.counter("roi.bytes_out", total)
         return out, report
 
-    def decompress_roi_from(self, fileobj: BinaryIO, slab, salvage: bool = False):
-        """Decode only the hyperslab ``slab`` of a multi-chunk container.
-
-        ``slab`` is a :class:`~repro.roi.Slab`, a ``"start:stop,..."`` spec
-        string, or a sequence of slices/``(start, stop)`` pairs
-        (:func:`~repro.roi.resolve_slab` semantics; missing trailing axes
-        select whole dimensions).  Only the segments whose axis-0 row span
-        intersects the slab are read, CRC-checked and decoded — the rest
-        are never touched (``roi.chunks_skipped``).  The result is
-        **byte-identical** to ``decompress_chunked_from(...)[slab]``.
-
-        With ``salvage=True`` damage inside the requested slab is
-        NaN-filled and accounted in a
-        :class:`~repro.engine.container.SalvageReport` scoped to the ROI
-        (``total_bytes`` is the slab's size); damage *outside* the slab is
-        invisible — those segments are skipped, so they cannot fail the
-        read.  The index trailer itself must parse (an unreadable index
-        leaves nothing to plan with; use the full salvage decode's forward
-        re-sync for that).
-        """
-        with telemetry.span("engine.decompress_roi") as root:
-            plan = self._roi_read_plan(fileobj, slab)
-            root.set("n_segments", plan.n_segments)
-            root.set("n_intersecting", len(plan.tasks))
-            if salvage:
-                result = self._roi_salvage(fileobj, plan)
-                out = result[0]
-            else:
-                result = out = self._roi_strict(fileobj, plan)
-            root.set("bytes_out", int(out.nbytes))
-        return result
-
-    def decompress_roi(self, blob: bytes, slab, salvage: bool = False):
-        """In-memory variant of :meth:`decompress_roi_from`."""
-        return self.decompress_roi_from(BytesIO(blob), slab, salvage=salvage)
-
     def _roi_strict(self, fileobj: BinaryIO, plan: RoiPlan) -> np.ndarray:
         """Strict ROI decode: any damage inside the slab raises."""
         return self._scatter(fileobj, plan, roi=True)[0]
@@ -1353,26 +1378,25 @@ class Engine:
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
 
-        ``source`` is a container blob or a seekable binary file object;
-        ``slab`` is a slab spec, or a :class:`~repro.roi.RoiPlan` that
-        :func:`~repro.roi.plan_roi` made from ``source``'s indexes (it is
-        not planned again).  Tiles arrive in file order, one output-row
-        band per intersecting segment: constant segments yield a single
-        exact tile synthesized from their 52-byte header, interpolation
-        segments yield a level-0 anchor-grid preview (``final=False``)
-        *before* their exact reconstruction, and fast segments yield one
-        exact tile.
-        Concatenating the ``final`` tiles along axis 0 reproduces
-        :meth:`decompress_roi` byte-identically; exact decodes run through
-        the worker pool and overlap with preview delivery.
+        ``source`` and ``slab`` are as in :meth:`decompress` (a
+        :class:`~repro.roi.RoiPlan` is not planned again).  Tiles arrive in
+        file order, one output-row band per intersecting segment: constant
+        segments yield a single exact tile synthesized from their 52-byte
+        header, interpolation segments yield a level-0 anchor-grid preview
+        (``final=False``) *before* their exact reconstruction, and fast
+        segments yield one exact tile.  Concatenating the ``final`` tiles
+        along axis 0 reproduces :meth:`decompress` of the slab
+        byte-identically; exact decodes run through the worker pool and
+        overlap with preview delivery.
 
         Planning and segment reads happen eagerly — malformed containers
-        and bad slabs raise here, not mid-iteration.
+        and bad slabs raise here, not mid-iteration — so a path source is
+        closed before the first tile is taken.
         """
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            source = BytesIO(source)
-        plan = self._roi_read_plan(source, slab)
-        return self._roi_tile_gen(self._walk(source, plan, previews=True))
+        with _opened(source) as fileobj:
+            plan = self._roi_read_plan(fileobj, slab)
+            items = self._walk(fileobj, plan, previews=True)
+        return self._roi_tile_gen(items)
 
     def _roi_tile_gen(self, items: Iterator[tuple]) -> Iterator[RoiTile]:
         """Wrap :meth:`_walk` items as contiguous :class:`RoiTile` s."""
@@ -1397,72 +1421,7 @@ class Engine:
                 telemetry.counter("roi.chunks_filled", filled)
                 telemetry.counter("roi.bytes_out", out_bytes)
 
-    def decompress_roi_file(
-        self,
-        input_path: str | pathlib.Path,
-        slab,
-        output_path: str | pathlib.Path | None = None,
-        salvage: bool = False,
-    ):
-        """ROI decode of a container file (optionally saving the slab).
-
-        With ``salvage=True`` returns ``(array, SalvageReport)`` — see
-        :meth:`decompress_roi_from`.
-        """
-        with open(input_path, "rb") as f:
-            result = self.decompress_roi_from(f, slab, salvage=salvage)
-        out = result[0] if salvage else result
-        if output_path is not None:
-            from repro.io import save_field
-
-            save_field(output_path, out)
-        return result
-
     # -- salvage decode ----------------------------------------------------
-
-    def _decompress_salvage(
-        self, fileobj: BinaryIO
-    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
-        """Best-effort decode of a damaged container.
-
-        Two strategies, picked by whether the end-anchored index trailer
-        still parses:
-
-        * **indexed** — the index survived (payload-only damage): an ROI
-          salvage over the full slab.  Every declared segment is read and
-          CRC-checked at its indexed offset; damaged ones are NaN-filled in
-          an output of the full declared shape.
-        * **re-sync** — the index itself is unreadable (truncation, trailer
-          damage): a forward scan for CRC-valid ``FZSG`` segment frames
-          (:func:`~repro.engine.container.resync_segments`) recovers what
-          remains, stitched along axis 0 in file order.
-        """
-        with telemetry.span("engine.salvage") as root:
-            try:
-                indexes = fzmc.read_containers(fileobj)
-            except FormatError as exc:
-                root.set("index_error", str(exc))
-                fileobj.seek(0)
-                out, report = self._salvage_resync(
-                    fzmc.resync_segments(fileobj.read())
-                )
-            else:
-                out, report = self._scatter(
-                    fileobj, plan_roi(indexes, ()), salvage=True
-                )
-            root.set("resynced", report.resynced)
-            root.set("recovered_bytes", report.recovered_bytes)
-            root.set("lost_bytes", report.lost_bytes)
-        if telemetry.enabled():
-            telemetry.counter("engine.salvage")
-            for seg in report.segments:
-                telemetry.counter(
-                    "engine.salvage_segments", 1, {"status": seg.status}
-                )
-                telemetry.counter(
-                    "engine.salvage_bytes", seg.nbytes, {"status": seg.status}
-                )
-        return out, report
 
     def _salvage_resync(
         self, hits: list[fzmc.SegmentHit]
@@ -1561,27 +1520,27 @@ class Engine:
                     os.unlink(output_path)
                 raise
 
-    def decompress_file(
-        self,
-        input_path: str | pathlib.Path,
-        output_path: str | pathlib.Path | None = None,
-        salvage: bool = False,
-    ):
-        """Decode a multi-chunk container file (optionally saving the field).
 
-        With ``salvage=True`` returns ``(array, SalvageReport)`` and never
-        raises on payload damage — see :meth:`decompress_chunked_from`.
-        """
-        with open(input_path, "rb") as f:
-            if salvage:
-                out, report = self.decompress_chunked_from(f, salvage=True)
-            else:
-                out = self.decompress_chunked_from(f)
-        if output_path is not None:
-            from repro.io import save_field
+@contextmanager
+def _opened(source) -> Iterator[BinaryIO]:
+    """``source`` as a seekable binary file: bytes are wrapped, a path is
+    opened (and closed on exit), and a file object is used as it is."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        yield BytesIO(source)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            yield f
+    else:
+        yield source
 
-            save_field(output_path, out)
-        return (out, report) if salvage else out
+
+def _saved(result, output_path):
+    """Save a decode's array (a salvage's ``result[0]``) when a path is given."""
+    if output_path is not None:
+        from repro.io import save_field
+
+        save_field(output_path, result[0] if isinstance(result, tuple) else result)
+    return result
 
 
 def _open_field_mmap(

@@ -743,7 +743,7 @@ def exp_engine(
             )
             blob = engine.compress_chunked(f.data, eb, "rel", chunk_bytes=64 * 1024)
             chunk_ok = np.array_equal(
-                engine.decompress_chunked(blob),
+                engine.decompress(blob),
                 fz.decompress(singles[0].stream),
             )
         nbytes = sum(x.nbytes for x in fields)

@@ -49,12 +49,6 @@ from repro.planner.probe import probe_chunk
 __all__ = ["compress_with_plan", "decompress_any", "peek_shape"]
 
 
-def _resolve_codec(codec, chunk, backend) -> FZGPU:
-    if codec is not None:
-        return codec
-    return FZGPU(chunk=chunk, backend=backend)
-
-
 def compress_with_plan(
     data: np.ndarray,
     eb: float,
@@ -62,24 +56,20 @@ def compress_with_plan(
     *,
     plan: str | None = None,
     codec: FZGPU | None = None,
-    chunk: tuple[int, ...] | None = None,
-    backend=None,
     scratch=None,
     policy: PlanPolicy | None = None,
-    impl: str | None = None,
 ) -> CompressionResult:
     """Compress one chunk under a request plan.
 
     ``plan`` is a request plan (:data:`repro.planner.plans.REQUEST_PLANS`;
     ``None`` means ``"fast"``).  The returned
     :class:`~repro.core.pipeline.CompressionResult` carries the segment
-    plan actually chosen in ``.plan``.  ``codec`` (or ``chunk``/``backend``)
+    plan actually chosen in ``.plan``.  ``codec`` (default ``FZGPU()``)
     and ``scratch`` configure the fused path exactly as
-    :meth:`repro.core.pipeline.FZGPU.compress` does; ``impl`` selects the
-    interpolation implementation for conformance testing.
+    :meth:`repro.core.pipeline.FZGPU.compress` does.
     """
     plan = normalize_plan(plan)
-    codec = _resolve_codec(codec, chunk, backend)
+    codec = FZGPU() if codec is None else codec
     if plan == "fast":
         # The legacy path: no probe, no planner spans, byte-identical
         # output to a planner-unaware build.
@@ -92,7 +82,7 @@ def compress_with_plan(
         if chosen == PLAN_CONST:
             result = constant_compress(data, eb_abs)
         elif chosen == PLAN_INTERP:
-            result = interp_compress(data, eb_abs, impl=impl, scratch=scratch)
+            result = interp_compress(data, eb_abs, scratch=scratch)
         else:
             result = codec.compress(data, eb_abs, "abs", scratch=scratch)
         root.set("plan", result.plan)
@@ -109,19 +99,19 @@ def decompress_any(
     stream: bytes | bytearray | memoryview,
     *,
     codec: FZGPU | None = None,
-    chunk: tuple[int, ...] | None = None,
-    backend=None,
     scratch=None,
-    impl: str | None = None,
 ) -> np.ndarray:
-    """Reconstruct a field from any plan's stream by sniffing its magic."""
+    """Reconstruct a field from any plan's stream by sniffing its magic.
+
+    ``codec`` (default ``FZGPU()``) decodes ``FZGP`` streams.
+    """
     buf = bytes(stream)
     magic = buf[:4]
     if magic == FAST_MAGIC:
-        return _resolve_codec(codec, chunk, backend).decompress(buf, scratch=scratch)
+        return (FZGPU() if codec is None else codec).decompress(buf, scratch=scratch)
     if magic == INTERP_MAGIC:
         with telemetry.span("planner.decompress") as root:
-            out = interp_decompress(buf, impl=impl, scratch=scratch)
+            out = interp_decompress(buf, scratch=scratch)
             root.set("plan", plan_name(PLAN_INTERP))
             root.set("bytes_in", len(buf))
             root.set("bytes_out", int(out.nbytes))

@@ -4,15 +4,15 @@ The ``FZMC`` container's end-anchored index records every segment's byte
 extent and row span, which makes partial reads an index walk instead of a
 full-file decode: :func:`plan_roi` intersects a hyperslab request
 (:class:`Slab`) with the recorded chunk grid, and the engine's
-``decompress_roi`` / ``iter_roi_tiles`` entry points then read, CRC-check
-and decode **only the intersecting segments** — non-intersecting segments
-are never touched (the ``roi.chunks_skipped`` counter and the container's
-``container.segments_read`` counter prove it).
+``decompress(source, slab=...)`` / ``iter_roi_tiles`` entry points then
+read, CRC-check and decode **only the intersecting segments** —
+non-intersecting segments are never touched (the ``roi.chunks_skipped``
+counter and the container's ``container.segments_read`` counter prove it).
 
 Consumption surfaces:
 
-* :meth:`repro.engine.Engine.decompress_roi` — one slab-shaped array,
-  byte-identical to the same numpy slice of a full decode (the
+* :meth:`repro.engine.Engine.decompress` with ``slab=`` — one slab-shaped
+  array, byte-identical to the same numpy slice of a full decode (the
   differential slicing oracle in ``tests/test_roi.py`` pins this across
   backends, pools, transports and HTTP).
 * :meth:`repro.engine.Engine.iter_roi_tiles` — a progressive iterator

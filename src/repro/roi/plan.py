@@ -86,7 +86,7 @@ class RoiTile:
     Tiles arrive coarse-to-fine per segment: an interp segment first yields
     its ``level=0`` anchor-grid preview (``final=False``), then the exact
     ``level=1`` reconstruction.  Concatenating the *final* tiles in arrival
-    order along axis 0 reproduces ``decompress_roi`` byte-identically.
+    order along axis 0 reproduces the slab ``decompress`` byte-identically.
     """
 
     level: int  #: 0 = coarse (anchor preview / constant fill), 1 = exact

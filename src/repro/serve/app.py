@@ -675,7 +675,7 @@ class App:
             headers.append(("X-Repro-Slab", plan.slab.text()))
 
         def work(stream: _Stream) -> None:
-            for tile in self.engine.iter_roi_tiles(BytesIO(body), plan):
+            for tile in self.engine.iter_roi_tiles(body, plan):
                 if tile.final:
                     stream.push(tile.data.tobytes())
 
@@ -738,7 +738,7 @@ class App:
         body = request.body
 
         def work():
-            return self.engine.decompress_chunked(body, salvage=True)
+            return self.engine.decompress(body, salvage=True)
 
         arr, report = await loop.run_in_executor(None, work)
         return _json_response(

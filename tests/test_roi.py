@@ -14,10 +14,14 @@ fuzzing (forged extents, forged plan ids, over-range slabs) must fail as
 *typed* :class:`~repro.errors.ReproError` subclasses, never as silent
 garbage.  Salvage x ROI: rot in a segment the slab never touches is
 invisible; rot inside the slab NaN-fills exactly the intersecting rows.
+Every source kind ``Engine.decompress`` takes (bytes, ``BytesIO``, an open
+file, a ``str`` path, a ``pathlib.Path``) decodes byte for byte like the
+old per-source names that delegate to it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import struct
@@ -57,6 +61,62 @@ def _field(shape, seed=0):
 def eng():
     with Engine(jobs=2, pool="thread") as engine:
         yield engine
+
+
+@pytest.fixture(scope="module")
+def src_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roi_sources")
+
+
+SOURCES = ("bytes", "bytesio", "file", "str", "path")
+
+#: The per-source names (full decode, slab decode) that delegate to
+#: ``Engine.decompress``.
+_OLD_NAMES = {
+    "bytes": ("decompress_chunked", "decompress_roi"),
+    "bytesio": ("decompress_chunked_from", "decompress_roi_from"),
+    "file": ("decompress_chunked_from", "decompress_roi_from"),
+    "str": ("decompress_file", "decompress_roi_file"),
+    "path": ("decompress_file", "decompress_roi_file"),
+}
+
+
+@contextlib.contextmanager
+def _source(kind, blob, tmp_dir):
+    """``blob`` as one of the source kinds ``Engine.decompress`` takes."""
+    if kind == "bytes":
+        yield blob
+    elif kind == "bytesio":
+        yield io.BytesIO(blob)
+    else:
+        path = tmp_dir / "container.fz"
+        path.write_bytes(blob)
+        if kind == "file":
+            with open(path, "rb") as f:
+                yield f
+        else:
+            yield str(path) if kind == "str" else path
+
+
+def _both_entries(eng, kind, blob, tmp_dir, slab=None, salvage=False):
+    """The same decode through ``decompress`` and through the old name."""
+    full, roi = _OLD_NAMES[kind]
+    with _source(kind, blob, tmp_dir) as src:
+        new = eng.decompress(src, slab=slab, salvage=salvage)
+    with _source(kind, blob, tmp_dir) as src:
+        if slab is None:
+            old = getattr(eng, full)(src, salvage=salvage)
+        else:
+            old = getattr(eng, roi)(src, slab, salvage=salvage)
+    return new, old
+
+
+def _assert_same_decode(new, old):
+    if isinstance(old, tuple):
+        (new, new_report), (old, old_report) = new, old
+        assert new_report == old_report
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +181,13 @@ def _roi_case(draw):
         "plan": draw(st.sampled_from(["fast", "auto"])),
         "seed": draw(st.integers(0, 2**16)),
         "salvage": draw(st.booleans()),
+        "source": draw(st.sampled_from(SOURCES)),
     }
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=_roi_case())
-def test_roi_equals_sliced_full_decode(case, eng):
+def test_roi_equals_sliced_full_decode(case, eng, src_dir):
     data = _field(case["shape"], seed=case["seed"])
     blob = eng.compress_chunked(
         data, EB, chunk_bytes=case["chunk_bytes"], plan=case["plan"]
@@ -139,11 +200,22 @@ def test_roi_equals_sliced_full_decode(case, eng):
     expect = np.ascontiguousarray(full[case["slices"]])
     assert got.dtype == np.float32 and got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
+    # every source kind decodes the oracle's bytes, and equals the old name
+    # of its kind, in the full, slab, RoiPlan and salvage modes
+    plan = plan_roi(read_containers(io.BytesIO(blob)), case["spec"])
+    for slab in (None, case["spec"], plan):
+        for salvage in (False, True):
+            new, old = _both_entries(
+                eng, case["source"], blob, src_dir, slab, salvage
+            )
+            _assert_same_decode(new, old)
+            arr = new[0] if salvage else new
+            assert arr.tobytes() == (full if slab is None else expect).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=_roi_case())
-def test_progressive_final_tiles_reassemble_the_roi(case, eng):
+def test_progressive_final_tiles_reassemble_the_roi(case, eng, src_dir):
     data = _field(case["shape"], seed=case["seed"])
     blob = eng.compress_chunked(
         data, EB, chunk_bytes=case["chunk_bytes"], plan=case["plan"]
@@ -163,6 +235,13 @@ def test_progressive_final_tiles_reassemble_the_roi(case, eng):
     for t in tiles:
         if not t.final:
             assert t.level == 0 and np.isfinite(t.data).all()
+    # every source kind yields the same tiles; reads are eager, so the
+    # source may be closed before the first tile is taken
+    with _source(case["source"], blob, src_dir) as src:
+        from_source = eng.iter_roi_tiles(src, case["spec"])
+    assert [(t.level, t.final, t.row0, t.data.tobytes()) for t in from_source] == [
+        (t.level, t.final, t.row0, t.data.tobytes()) for t in tiles
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +386,71 @@ def test_roi_skips_non_intersecting_segments_proven_by_telemetry(eng):
     assert _counter(snap, "roi.requests") == 0
     assert _counter(snap, "roi.chunks_skipped") == 0
     assert _counter(snap, "container.segments_read") == 4
+    # each decode mode's span, attributes and counters, call by call
+    seg_bytes = sum(e.seg_bytes for e in index.segments)
+    roi_names = ("roi.requests", "roi.chunks_skipped", "roi.chunks_decoded",
+                 "roi.bytes_out")
+
+    def recorded(decode):
+        telemetry.enable()
+        rec.clear()
+        try:
+            decode()
+            snap = rec.snapshot()
+        finally:
+            telemetry.disable()
+            rec.clear()
+        spans = {}
+        for e in snap["events"]:
+            if e.get("type") == "span":
+                spans.setdefault(e["name"], []).append(e["attrs"])
+        return spans, snap
+
+    spans, snap = recorded(lambda: eng.decompress_roi(blob, "64:96,0:32"))
+    assert spans["engine.decompress_roi"] == [
+        {"n_segments": 4, "n_intersecting": 1, "bytes_out": 32 * 32 * 4}
+    ]
+    assert spans["roi.plan"] == [{"n_segments": 4, "n_intersecting": 1}]
+    assert "engine.decompress_file" not in spans and "engine.salvage" not in spans
+    assert [_counter(snap, n) for n in roi_names] == [1, 3, 1, 32 * 32 * 4]
+
+    spans, snap = recorded(lambda: eng.decompress_chunked(blob))
+    assert spans["engine.decompress_file"] == [
+        {"n_chunks": 4, "bytes_in": seg_bytes, "bytes_out": data.nbytes}
+    ]
+    assert "engine.decompress_roi" not in spans and "roi.plan" not in spans
+    assert "engine.salvage" not in spans
+    assert [_counter(snap, n) for n in roi_names] == [0, 0, 0, 0]
+    assert _counter(snap, "engine.salvage") == 0
+
+    spans, snap = recorded(lambda: eng.decompress_chunked(blob, salvage=True))
+    assert spans["engine.salvage"] == [
+        {"resynced": False, "recovered_bytes": data.nbytes, "lost_bytes": 0}
+    ]
+    assert "engine.decompress_file" not in spans and "roi.plan" not in spans
+    assert [_counter(snap, n) for n in roi_names] == [0, 0, 0, 0]
+    assert _counter(snap, "engine.salvage") == 1
+    assert _counter(snap, "engine.salvage_segments", {"status": "recovered"}) == 4
+    assert _counter(
+        snap, "engine.salvage_bytes", {"status": "recovered"}
+    ) == data.nbytes
+
+    # an unreadable index trailer re-syncs, and the span says why
+    spans, snap = recorded(lambda: eng.decompress_chunked(blob[:-1], salvage=True))
+    (attrs,) = spans["engine.salvage"]
+    assert attrs["resynced"] is True and attrs["index_error"]
+    assert attrs["recovered_bytes"] == data.nbytes and attrs["lost_bytes"] == 0
+    assert _counter(snap, "engine.salvage") == 1
+
+    spans, snap = recorded(
+        lambda: eng.decompress_roi(blob, "64:96,0:32", salvage=True)
+    )
+    assert spans["engine.decompress_roi"] == [
+        {"n_segments": 4, "n_intersecting": 1, "bytes_out": 32 * 32 * 4}
+    ]
+    assert "engine.salvage" not in spans
+    assert [_counter(snap, n) for n in roi_names] == [1, 3, 1, 32 * 32 * 4]
+    assert _counter(snap, "engine.salvage") == 0
 
 
 def test_progressive_tiles_emit_leveled_counters(eng):
@@ -544,7 +688,7 @@ def test_rot_outside_the_slab_is_invisible(eng, rotten_pair):
     assert got.tobytes() == full[64:96].tobytes()
 
 
-def test_rot_inside_the_slab_raises_typed_then_salvages(eng, rotten_pair):
+def test_rot_inside_the_slab_raises_typed_then_salvages(eng, rotten_pair, src_dir):
     clean, rotten = rotten_pair
     full = eng.decompress_chunked(clean)
     with pytest.raises(FormatError, match="CRC"):
@@ -561,6 +705,17 @@ def test_rot_inside_the_slab_raises_typed_then_salvages(eng, rotten_pair):
     lost = [s for s in report.segments if s.status != "recovered"]
     assert [s.ordinal for s in lost] == [1]
     assert not report.complete
+    # every source kind: strict raises typed, slab and full salvage match
+    # the old names byte for byte
+    for kind in SOURCES:
+        for slab in ("16:48,0:32", None):
+            with _source(kind, rotten, src_dir) as src:
+                with pytest.raises(FormatError, match="CRC"):
+                    eng.decompress(src, slab=slab)
+            new, old = _both_entries(eng, kind, rotten, src_dir, slab, True)
+            _assert_same_decode(new, old)
+        new, _ = _both_entries(eng, kind, rotten, src_dir, "16:48,0:32", True)
+        assert new[0].tobytes() == out.tobytes() and new[1] == report
 
 
 def test_salvage_roi_on_clean_data_is_complete(eng, rotten_pair):
