@@ -98,7 +98,10 @@ class KernelBackend:
         eb_abs: float,
         chunk: tuple[int, ...] | None,
         scratch: Scratch | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Decode into ``out`` (a float32 array of ``orig_shape`` the
+        caller validated) and return it, or into a fresh array."""
         raise NotImplementedError
 
     # -- shared plumbing ---------------------------------------------------

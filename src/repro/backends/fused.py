@@ -492,12 +492,14 @@ def _fused_decode_codes(
     eb_abs: float,
     chunk: tuple[int, ...] | None,
     scratch: Scratch,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The fused slab decode loop.  See the module docstring for the idea.
 
     Validation mirrors the staged decoders' ladder (same conditions, same
     messages, same order), so crafted streams fail identically whichever
-    backend decodes them.
+    backend decodes them.  Each slab is dequantized straight into its rows
+    of ``out`` (a fresh array when ``None``).
     """
     # -- validation ladder (decode_zero_blocks / bitunshuffle / dequantize) --
     padded = tuple(int(p) for p in padded_shape)
@@ -532,7 +534,8 @@ def _fused_decode_codes(
     )
     run = np.dtype((np.void, 2 * chunk[-1]))
 
-    out = np.empty(orig_shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(orig_shape, dtype=np.float32)
     for a in range(0, padded[0], slab_rows):
         b = min(a + slab_rows, padded[0])
         rows = b - a
@@ -637,17 +640,19 @@ class FusedBackend(KernelBackend):
         eb_abs: float,
         chunk: tuple[int, ...] | None,
         scratch: Scratch | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         scratch = self._own_scratch(scratch)
         try:
             with telemetry.span("stage.fused_decode"):
                 return _fused_decode_codes(
-                    encoded, padded_shape, orig_shape, eb_abs, chunk, scratch
+                    encoded, padded_shape, orig_shape, eb_abs, chunk, scratch,
+                    out,
                 )
         except _NeedsExactPath:
             # a per-chunk prefix sum might overflow int32 (oversized custom
             # chunks holding saturated residuals): the reference kernels run
-            # the inverse Lorenzo in int64
+            # the inverse Lorenzo in int64, over any rows already written
             return _EXACT.decode(
-                encoded, padded_shape, orig_shape, eb_abs, chunk
+                encoded, padded_shape, orig_shape, eb_abs, chunk, out=out
             )

@@ -70,6 +70,7 @@ class ReferenceBackend(KernelBackend):
         eb_abs: float,
         chunk: tuple[int, ...] | None,
         scratch: Scratch | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         n_codes = int(np.prod(padded_shape))
         with telemetry.span("stage.decode"):
@@ -77,4 +78,8 @@ class ReferenceBackend(KernelBackend):
         with telemetry.span("stage.bitunshuffle"):
             codes = bitunshuffle(words, n_codes)
         with telemetry.span("stage.dequantize"):
-            return dual_dequantize(codes, padded_shape, orig_shape, eb_abs, chunk)
+            res = dual_dequantize(codes, padded_shape, orig_shape, eb_abs, chunk)
+        if out is None:
+            return res
+        np.copyto(out, res)
+        return out

@@ -24,6 +24,7 @@ route it to the interpolation or constant predictor; ``docs/PLANNING.md``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -262,10 +263,10 @@ def cmd_decompress(args: argparse.Namespace) -> int:
     if looks_like_container(args.input):
         with _cli_engine(args) as engine:
             result = engine.decompress(
-                args.input, slab=args.roi or None, salvage=args.salvage
+                args.input, slab=args.roi or None, salvage=args.salvage,
+                out=args.output,
             )
         recon, report = result if args.salvage else (result, None)
-        save_field(args.output, recon)
         if args.salvage:
             print(report.summary())
         what = f"ROI {args.roi} -> " if args.roi else ""
@@ -626,11 +627,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     recording = _telemetry_begin(args)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
     except ReproError as exc:
         # an expected failure (bad input, damaged stream, violated config)
         # is one line on stderr, not a traceback
         print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout went away (`repro info x.fz | head`): point
+        # stdout at devnull so the interpreter's exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
         if recording:

@@ -33,6 +33,7 @@ from repro.errors import ConfigError, DecompressionError, UnsupportedDataError
 from repro.utils.chunking import chunk_shape_for
 from repro.utils.validation import (
     check_finite,
+    check_out,
     ensure_float32,
     ensure_ndim,
     ensure_positive,
@@ -255,7 +256,7 @@ class FZGPU:
             },
         )
 
-    def decompress(self, stream: bytes, scratch=None) -> np.ndarray:
+    def decompress(self, stream: bytes, scratch=None, out=None) -> np.ndarray:
         """Reconstruct the field from a compressed stream (float32).
 
         Malformed input fails with a :class:`~repro.errors.ReproError`
@@ -265,16 +266,21 @@ class FZGPU:
         but decode inconsistently.
 
         ``scratch`` mirrors :meth:`compress`: an optional arena that makes
-        the decode temporaries allocation-free in the steady state.
+        the decode temporaries allocation-free in the steady state.  With
+        ``out`` (a writable, C-contiguous float32 array of the stream's
+        shape, else :class:`~repro.errors.ConfigError`) the field is
+        decoded into it and ``out`` is returned.
         """
         backend = _resolve_backend(self._backend)
         with telemetry.span("fz.decompress") as root:
             with telemetry.span("stage.unpack"):
                 header, encoded = unpack_stream(stream)
+            if out is not None:
+                check_out(out, header.shape)
             try:
                 out = backend.decode(
                     encoded, header.padded_shape, header.shape, header.eb,
-                    header.chunk, scratch,
+                    header.chunk, scratch, out,
                 )
             except ValueError as exc:
                 # residual shape/size validation from NumPy on streams the

@@ -47,6 +47,7 @@ import os
 import pathlib
 import threading
 import time
+import uuid
 from contextlib import contextmanager
 from concurrent.futures import (
     BrokenExecutor,
@@ -58,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from io import BytesIO
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,7 +105,7 @@ from repro.utils.pool import (
     shm_available,
 )
 from repro.utils.safeio import check_consistent
-from repro.utils.validation import ensure_positive, non_finite_error
+from repro.utils.validation import check_out, ensure_positive, non_finite_error
 
 __all__ = [
     "Engine",
@@ -179,13 +180,14 @@ class _Task:
     ``src`` is the item itself or, on a process pool with shared memory,
     its staged descriptor; ``out_desc`` addresses the leased output block
     ``out`` the worker writes into, and ``shape`` is a decode's peeked
-    output shape.  Every block stays leased until :meth:`release`, so
-    retries, pool rebuilds and resubmissions always find their segments
-    alive.  ``future`` is a pool future, or the stored thunk of an inline
+    output shape.  ``dest`` is the view of the caller's output that an
+    inline decode writes into (``None``: a fresh array).  Every
+    block stays leased until :meth:`release`, so retries, pool rebuilds
+    and resubmissions always find their segments alive.  ``future`` is a pool future, or the stored thunk of an inline
     task, which runs only when the loop waits on it.
     """
 
-    __slots__ = ("index", "src", "out_desc", "inputs", "out", "shape",
+    __slots__ = ("index", "src", "out_desc", "inputs", "out", "shape", "dest",
                  "attempts", "history", "future", "failure", "last_exc")
 
     def __init__(self, index: int, src) -> None:
@@ -195,6 +197,7 @@ class _Task:
         self.inputs: tuple[ShmBlock, ...] = ()
         self.out: ShmBlock | None = None
         self.shape: tuple[int, ...] | None = None
+        self.dest: np.ndarray | None = None
         self.attempts = 0
         self.history: list[str] = []
         self.future = None
@@ -301,10 +304,11 @@ def _init_worker(backend) -> None:
     ).start()
 
 
-def _codec_task(codec: FZGPU, src, encode, scratch):
+def _codec_task(codec: FZGPU, src, encode, scratch, out=None):
     """One task body, shared by inline, thread and process workers.
 
-    ``encode=None`` decodes the stream ``src`` (dispatching on its magic);
+    ``encode=None`` decodes the stream ``src`` (dispatching on its magic)
+    into ``out``, or a fresh array when ``out`` is ``None``;
     ``encode=(eb, mode, plan)`` compresses the field ``src``.  A ``"fast"``
     plan calls the codec directly — zero planner overhead and
     byte-identical to the pre-planner engine.  Anything else routes through
@@ -313,7 +317,7 @@ def _codec_task(codec: FZGPU, src, encode, scratch):
     depend on which pool or worker ran the task.
     """
     if encode is None:
-        return decompress_any(src, codec=codec, scratch=scratch)
+        return decompress_any(src, codec=codec, scratch=scratch, out=out)
     eb, mode, plan = encode
     if plan == "fast":
         return codec.compress(src, eb, mode, scratch=scratch)
@@ -367,33 +371,36 @@ def _attach_input(src):
     return src
 
 
-def _run_task(codec, scratch, hard, plan, encode, index, attempt, src, out_desc):
+def _run_task(codec, scratch, hard, plan, encode, index, attempt, src, out):
     """One task body, shared by inline, thread and process workers.
 
     Fires ``plan``'s fault hook for ``(index, attempt)``, then runs
     :func:`_codec_task` under :func:`_instrumented_task`.  ``hard=True``
     (a process worker) makes an injected ``worker_crash`` a *real*
     process death, so the parent sees ``BrokenProcessPool``.  ``src`` may
-    be an shm/mmap descriptor; with an ``out_desc`` the result is written
-    into that region and only a :class:`_ShmRef` marker rides home —
-    unless it does not fit, in which case it ships inline and is
-    re-checked by the parent.
+    be an shm/mmap descriptor.  ``out`` is ``None``, an inline decode's
+    destination array (decoded in place and returned), or a
+    process worker's output descriptor: the result is written into that
+    region and only a :class:`_ShmRef` marker rides home — unless it does
+    not fit, in which case it ships inline and is re-checked by the parent.
     """
 
     def body():
         faults.fire_task(plan, index, attempt, hard=hard)
+        if not isinstance(out, ShmDescriptor):
+            return _codec_task(codec, _attach_input(src), encode, scratch, out)
         res = _codec_task(codec, _attach_input(src), encode, scratch)
-        if out_desc is None:
-            return res
         if encode is not None:
             stream = res.stream
-            if len(stream) > out_desc.nbytes:
+            if len(stream) > out.nbytes:
                 return res  # expanded past the reservation (rare)
-            out_desc.attach()[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+            out.attach()[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
             return replace(res, stream=_ShmRef(len(stream)))
-        if tuple(res.shape) != out_desc.shape or res.dtype.str != out_desc.dtype:
+        if tuple(res.shape) != out.shape or res.dtype.str != out.dtype:
             return res  # the header peek pre-sized something else
-        np.copyto(out_desc.attach(), res)
+        # decoding straight into the block measured no faster here
+        # (perfbench batch_process, 2 cores), so the worker keeps the copy
+        np.copyto(out.attach(), res)
         return _ShmRef(int(res.nbytes))
 
     return _instrumented_task(body)
@@ -803,20 +810,20 @@ class Engine:
         task.release()
         return res
 
-    def _local_task(self, plan, encode, index: int, attempt: int, src):
+    def _local_task(self, plan, encode, index: int, attempt: int, src, dest):
         """Inline/thread task: :func:`_run_task` on a borrowed scratch."""
         scratch = self.buffer_pool.acquire()
         try:
             return _run_task(
                 self._codec, scratch, False, plan, encode, index, attempt, src,
-                None,
+                dest,
             ), None
         finally:
             self.buffer_pool.release(scratch)
 
     def _run_ordered(
         self, items: Iterable, encode: tuple | None = None,
-        on_error: str = "raise",
+        on_error: str = "raise", dests: Sequence | None = None,
     ) -> Iterator:
         """The one task loop: run ``items``, yielding plain results in order.
 
@@ -835,6 +842,11 @@ class Engine:
         docstring; quarantined tasks surface per ``on_error``: ``"raise"``,
         or ``"return"``, which yields the :class:`TaskFailure` in the
         task's result slot so surviving results never reorder.
+
+        Where ``dests[i]`` is an array, an inline task decodes item ``i``
+        straight into it and yields it.  Pool workers ignore ``dests`` and
+        decode privately, so no write into the caller's rows outlives the
+        call, even from a timed-out thread that was abandoned mid-write.
         """
         if on_error not in ("raise", "return"):
             raise ConfigError(f"on_error must be 'raise' or 'return', got {on_error!r}")
@@ -843,6 +855,8 @@ class Engine:
         window = 4 * self.jobs if pooled else 1
         depth = 1 if pooled else 0  # inline tasks are not pool work
         shm = self._use_shm()
+        if pooled:
+            dests = None
         recorder = telemetry.get_recorder()
         plan = faults.active_plan()
         if pooled and self.pool_kind == "process":
@@ -856,7 +870,7 @@ class Engine:
         else:
             def submit(task: _Task) -> None:
                 args = (self._local_task, plan, encode, task.index,
-                        task.attempts, task.src)
+                        task.attempts, task.src, task.dest)
                 task.future = executor.submit(*args) if pooled else partial(*args)
 
         def safe_submit(task: _Task) -> None:
@@ -881,6 +895,8 @@ class Engine:
                     exhausted = True
                     return
                 task = self._stage(*nxt, encode) if shm else _Task(*nxt)
+                if dests is not None:
+                    task.dest = dests[task.index]
                 pending.append(task)
                 self._track_pending(depth)
                 safe_submit(task)
@@ -1126,7 +1142,7 @@ class Engine:
         self.compress_chunked_to(buf, data, eb, mode, chunk_bytes, plan=plan)
         return buf.getvalue()
 
-    def decompress(self, source, *, slab=None, salvage: bool = False):
+    def decompress(self, source, *, slab=None, salvage: bool = False, out=None):
         """Decode a multi-chunk container: the whole field, or one slab of it.
 
         ``source`` is the container's bytes, a seekable binary file object,
@@ -1150,31 +1166,40 @@ class Engine:
         instead of raising, and the call returns ``(array, SalvageReport)``
         whose report accounts for every byte
         (``recovered_bytes + lost_bytes == total_bytes``).  Every CRC-valid
-        segment is recovered bit-identically and damaged extents are
-        NaN-filled.  A slab salvage scopes the report to the slab: damage
-        outside it is invisible, and the index trailer must parse.  A full
-        salvage whose index trailer does not parse (truncation, trailer
-        damage) falls back to a forward scan for CRC-valid ``FZSG`` frames
-        (:func:`~repro.engine.container.resync_segments`), stitched along
-        axis 0 in file order.
+        segment is recovered bit-identically and the rows of every lost
+        segment are NaN.  A slab salvage scopes the report to the slab:
+        damage outside it is invisible, and the index trailer must parse.
+        A full salvage whose index trailer does not parse (truncation,
+        trailer damage) falls back to a forward scan for CRC-valid ``FZSG``
+        frames (:func:`~repro.engine.container.resync_segments`), stitched
+        along axis 0 in file order.
+
+        ``out=None`` returns a fresh array.  An array ``out`` (writable,
+        C-contiguous, float32, of the decoded shape, else
+        :class:`~repro.errors.ConfigError`) receives each segment straight
+        into its rows and is returned; after a strict failure its contents
+        are unspecified.  A path ``out`` is a file sink (:func:`_sink`),
+        created once every payload was read and CRC-checked, so it may name
+        its own source; the call returns the ``np.memmap`` it wrote, and a
+        failed decode removes the file.
         """
-        with _opened(source) as fileobj:
+        with _opened(source) as fileobj, _sink(out) as make:
             if slab is not None:
                 with telemetry.span("engine.decompress_roi") as root:
                     plan = self._roi_read_plan(fileobj, slab)
                     root.set("n_segments", plan.n_segments)
                     root.set("n_intersecting", len(plan.tasks))
                     if salvage:
-                        out, report = self._roi_salvage(fileobj, plan)
+                        out, report = self._roi_salvage(fileobj, plan, make)
                     else:
-                        out = self._roi_strict(fileobj, plan)
+                        out = self._roi_strict(fileobj, plan, make)
                     root.set("bytes_out", int(out.nbytes))
             elif not salvage:
                 with telemetry.span("engine.decompress_file") as root:
                     with telemetry.span("engine.read_index"):
                         plan = plan_roi(fzmc.read_containers(fileobj), ())
                     root.set("n_chunks", plan.n_segments)
-                    out, _ = self._scatter(fileobj, plan)
+                    out, _ = self._scatter(fileobj, plan, make)
                     root.set("bytes_in", sum(t.entry.seg_bytes for t in plan.tasks))
                     root.set("bytes_out", int(out.nbytes))
             else:
@@ -1186,12 +1211,14 @@ class Engine:
                         # (an axis-1 container) stays typed
                         root.set("index_error", str(exc))
                         fileobj.seek(0)
-                        out, report = self._salvage_resync(
+                        field, report = self._salvage_resync(
                             fzmc.resync_segments(fileobj.read())
                         )
+                        out = make(field.shape)
+                        out[...] = field
                     else:
                         out, report = self._scatter(
-                            fileobj, plan_roi(indexes, ()), salvage=True
+                            fileobj, plan_roi(indexes, ()), make, salvage=True
                         )
                     root.set("resynced", report.resynced)
                     root.set("recovered_bytes", report.recovered_bytes)
@@ -1205,7 +1232,7 @@ class Engine:
         return (out, report) if salvage else out
 
     # The six names below only delegate to :meth:`decompress`; perfbench's
-    # tracer wraps each of them by name.  ``output_path`` saves the array.
+    # tracer wraps each of them by name.  ``output_path`` is the file sink.
 
     def decompress_chunked(self, blob: bytes, salvage: bool = False):
         return self.decompress(blob, salvage=salvage)
@@ -1220,11 +1247,11 @@ class Engine:
         return self.decompress(fileobj, slab=slab, salvage=salvage)
 
     def decompress_file(self, input_path, output_path=None, salvage: bool = False):
-        return _saved(self.decompress(input_path, salvage=salvage), output_path)
+        return self.decompress(input_path, salvage=salvage, out=output_path)
 
     def decompress_roi_file(self, input_path, slab, output_path=None, salvage=False):
-        return _saved(self.decompress(input_path, slab=slab, salvage=salvage),
-                      output_path)
+        return self.decompress(input_path, slab=slab, salvage=salvage,
+                               out=output_path)
 
     # -- region-of-interest / progressive decode ---------------------------
 
@@ -1248,24 +1275,13 @@ class Engine:
             telemetry.counter("roi.chunks_skipped", plan.n_skipped)
         return plan
 
-    def _walk(
-        self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False,
-        previews: bool = False,
-    ) -> Iterator[tuple]:
-        """The one segment walk: read, fill, decode and slice ``plan``'s tasks.
+    def _read_payloads(
+        self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False
+    ) -> list[bytes | None]:
+        """Read and CRC-check every task's payload of ``plan`` in file order.
 
-        Every task's payload is read and CRC-checked in file order before
-        this returns, so a damaged segment fails a strict read here, before
-        anything is yielded.  The returned generator then yields one
-        ``(task, level, final, tile)`` per task, ``tile`` being a view of the
-        task's rows.  A constant (``FZCN``) segment is synthesized from its
-        fully CRC-validated 52-byte stream, with no pool round-trip (level
-        0, final).  With ``previews=True`` an ``FZIN`` segment first yields
-        its anchor-grid preview (level 0, not final).  Everything else
-        decodes through :meth:`_run_ordered` (level 1, final), so at most one
-        window of chunks is alive at a time.  Strict mode
-        raises the first failure with the usual taxonomy; ``salvage=True``
-        yields the failure as that task's ``tile`` instead.
+        A damaged segment raises here in strict mode, before anything is
+        decoded or written; ``salvage=True`` records it as ``None``.
         """
         payloads: list[bytes | None] = []
         for task in plan.tasks:
@@ -1277,6 +1293,29 @@ class Engine:
                 if not salvage:
                     raise
                 payloads.append(None)
+        return payloads
+
+    def _walk(
+        self, plan: RoiPlan, payloads: list[bytes | None],
+        salvage: bool = False, previews: bool = False,
+        out: np.ndarray | None = None,
+    ) -> Iterator[tuple]:
+        """The one segment walk: fill, decode and slice ``plan``'s tasks.
+
+        ``payloads`` come from :meth:`_read_payloads`.  Yields one
+        ``(task, level, final, tile)`` per task, ``tile`` being a view of
+        the task's rows.  A constant (``FZCN``) segment is synthesized from
+        its fully CRC-validated 52-byte stream, with no pool round-trip
+        (level 0, final).  With ``previews=True`` an ``FZIN`` segment first
+        yields its anchor-grid preview (level 0, not final).  Everything
+        else decodes through :meth:`_run_ordered` (level 1, final), so at
+        most one window of chunks is alive at a time.  Given ``out`` (the
+        plan's output array), a task that covers its whole chunk is decoded
+        inline straight into its rows of ``out``, and its tile is that
+        view.  Strict mode raises the first failure with
+        the usual taxonomy; ``salvage=True`` yields the failure as that
+        task's ``tile`` instead.
+        """
 
         def rows(task, chunk: np.ndarray, what: str) -> np.ndarray:
             check_consistent(
@@ -1286,65 +1325,83 @@ class Engine:
             )
             return chunk[task.local]
 
-        def tiles():
-            decoded = self._run_ordered(
-                (p for p in payloads if p is not None and p[:4] != CONSTANT_MAGIC),
-                on_error="return" if salvage else "raise",
-            )
+        def dest(task, payload: bytes) -> np.ndarray | None:
+            # a stream whose header disagrees with the index decodes on its
+            # own, so the shape check below still names the mismatch
+            if out is None or task.tile_shape != task.chunk_shape:
+                return None
             try:
-                for task, payload in zip(plan.tasks, payloads):
-                    try:
-                        if payload is None:
-                            raise FormatError("segment corrupt or missing")
-                        if payload[:4] == CONSTANT_MAGIC:
-                            info = constant_info(payload)
-                            fill = np.broadcast_to(
-                                np.float32(info["fill"]), tuple(info["shape"])
-                            )
-                            yield task, 0, True, rows(task, fill, "constant segment")
-                            continue
-                        if previews and payload[:4] == INTERP_MAGIC:
-                            preview = interp_preview(payload)
-                            yield task, 0, False, rows(task, preview, "FZIN preview")
-                        chunk = next(decoded)
-                        if isinstance(chunk, TaskFailure):
-                            raise DecompressionError(
-                                f"payload decode failed: {chunk.error_type}"
-                            )
-                        yield task, 1, True, rows(task, chunk, "decoded")
-                    except ReproError as exc:
-                        if not salvage:
-                            raise
-                        yield task, 1, True, exc
-            finally:
-                decoded.close()
+                if peek_shape(payload) != task.chunk_shape:
+                    return None
+            except ReproError:
+                return None
+            return out[task.out_row0 : task.out_row0 + task.rows]
 
-        return tiles()
+        coded = [
+            (t, p) for t, p in zip(plan.tasks, payloads)
+            if p is not None and p[:4] != CONSTANT_MAGIC
+        ]
+        decoded = self._run_ordered(
+            (p for _, p in coded),
+            on_error="return" if salvage else "raise",
+            dests=None if out is None else [dest(t, p) for t, p in coded],
+        )
+        try:
+            for task, payload in zip(plan.tasks, payloads):
+                try:
+                    if payload is None:
+                        raise FormatError("segment corrupt or missing")
+                    if payload[:4] == CONSTANT_MAGIC:
+                        info = constant_info(payload)
+                        fill = np.broadcast_to(
+                            np.float32(info["fill"]), tuple(info["shape"])
+                        )
+                        yield task, 0, True, rows(task, fill, "constant segment")
+                        continue
+                    if previews and payload[:4] == INTERP_MAGIC:
+                        preview = interp_preview(payload)
+                        yield task, 0, False, rows(task, preview, "FZIN preview")
+                    chunk = next(decoded)
+                    if isinstance(chunk, TaskFailure):
+                        raise DecompressionError(
+                            f"payload decode failed: {chunk.error_type}"
+                        )
+                    yield task, 1, True, rows(task, chunk, "decoded")
+                except ReproError as exc:
+                    if not salvage:
+                        raise
+                    yield task, 1, True, exc
+        finally:
+            decoded.close()
 
     def _scatter(
-        self, fileobj: BinaryIO, plan: RoiPlan, salvage: bool = False,
+        self, fileobj: BinaryIO, plan: RoiPlan, make, salvage: bool = False,
         roi: bool = False,
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
         """The decode core: write every :meth:`_walk` tile into one array.
 
-        Strict mode raises the first failure; ``salvage=True`` NaN-fills
-        that task's rows and records why in the
+        The array is ``make(plan.out_shape)`` (see :func:`_sink`), made
+        only after every payload was read and CRC-checked.  Tiles decoded
+        in place are already there.  Strict mode raises the first failure;
+        ``salvage=True`` NaN-fills that task's rows (over anything a failed
+        attempt wrote) and records why in the
         :class:`~repro.engine.container.SalvageReport` (always complete in
         strict mode).  ``roi=True`` emits the ``roi.*`` counters.
         """
-        if salvage:
-            out = np.full(plan.out_shape, np.nan, dtype=np.float32)
-        else:
-            out = np.empty(plan.out_shape, dtype=np.float32)
+        payloads = self._read_payloads(fileobj, plan, salvage)
+        out = make(plan.out_shape)
         outcomes: list[fzmc.SegmentOutcome] = []
         recovered = filled = 0
-        for task, level, _, tile in self._walk(fileobj, plan, salvage):
+        for task, level, _, tile in self._walk(plan, payloads, salvage, out=out):
+            span = slice(task.out_row0, task.out_row0 + task.rows)
             if isinstance(tile, ReproError):
+                out[span] = np.nan
                 outcomes.append(fzmc.SegmentOutcome(
                     task.ordinal, task.rows, task.tile_bytes, "lost", str(tile)
                 ))
                 continue
-            out[task.out_row0 : task.out_row0 + task.rows] = tile
+            if not np.may_share_memory(tile, out):
+                out[span] = tile
             filled += level == 0
             recovered += task.tile_bytes
             outcomes.append(fzmc.SegmentOutcome(
@@ -1365,15 +1422,15 @@ class Engine:
             telemetry.counter("roi.bytes_out", total)
         return out, report
 
-    def _roi_strict(self, fileobj: BinaryIO, plan: RoiPlan) -> np.ndarray:
+    def _roi_strict(self, fileobj: BinaryIO, plan: RoiPlan, make) -> np.ndarray:
         """Strict ROI decode: any damage inside the slab raises."""
-        return self._scatter(fileobj, plan, roi=True)[0]
+        return self._scatter(fileobj, plan, make, roi=True)[0]
 
     def _roi_salvage(
-        self, fileobj: BinaryIO, plan: RoiPlan
+        self, fileobj: BinaryIO, plan: RoiPlan, make
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
         """Best-effort ROI decode: NaN-fill damage inside the slab only."""
-        return self._scatter(fileobj, plan, salvage=True, roi=True)
+        return self._scatter(fileobj, plan, make, salvage=True, roi=True)
 
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
@@ -1395,8 +1452,8 @@ class Engine:
         """
         with _opened(source) as fileobj:
             plan = self._roi_read_plan(fileobj, slab)
-            items = self._walk(fileobj, plan, previews=True)
-        return self._roi_tile_gen(items)
+            payloads = self._read_payloads(fileobj, plan)
+        return self._roi_tile_gen(self._walk(plan, payloads, previews=True))
 
     def _roi_tile_gen(self, items: Iterator[tuple]) -> Iterator[RoiTile]:
         """Wrap :meth:`_walk` items as contiguous :class:`RoiTile` s."""
@@ -1534,13 +1591,60 @@ def _opened(source) -> Iterator[BinaryIO]:
         yield source
 
 
-def _saved(result, output_path):
-    """Save a decode's array (a salvage's ``result[0]``) when a path is given."""
-    if output_path is not None:
+@contextmanager
+def _sink(out) -> Iterator[Callable[[tuple[int, ...]], np.ndarray]]:
+    """Yield ``make(shape)``, which returns the array a decode writes into.
+
+    ``None`` makes a fresh array, and an array ``out`` is validated by
+    :func:`check_out` and used as it is.  A path is a file sink, made only
+    when ``make`` is called: ``.npy`` through ``np.lib.format.open_memmap``,
+    any other name as raw little-endian float32 through ``np.memmap``, both
+    byte-identical to :func:`repro.io.save_field`.  The sink is a fresh
+    sibling file that is renamed onto the path only once the decode
+    succeeded, so a failed decode removes just that file and leaves the
+    path as it was: the decode's own source, an earlier output, or
+    nothing.  A memmap an earlier decode returned keeps its own file.  A
+    device or pipe cannot be mapped, so its field is decoded in memory and
+    saved once the decode succeeds.
+    """
+    if not isinstance(out, (str, os.PathLike)):
+        yield lambda shape: (
+            np.empty(shape, dtype=np.float32) if out is None
+            else check_out(out, shape)
+        )
+        return
+    path = pathlib.Path(out)
+    target = path.resolve()  # a symlinked output is written through
+    part = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.part")
+    made: list[np.ndarray] = []
+
+    def make(shape: tuple[int, ...]) -> np.ndarray:
+        if path.exists() and not path.is_file():
+            made.append(np.empty(shape, dtype=np.float32))
+        elif path.suffix == ".npy":
+            made.append(np.lib.format.open_memmap(
+                part, mode="w+", dtype=np.float32, shape=shape
+            ))
+        else:
+            made.append(np.memmap(part, dtype="<f4", mode="w+", shape=shape))
+        return made[-1]
+
+    try:
+        yield make
+        if made and isinstance(made[0], np.memmap):
+            # not os.replace: renaming over a file makes ext4 write the new
+            # one back at once (auto_da_alloc), which cost a 64 MiB decode
+            # ~45 ms on a 2-core ext4 host
+            target.unlink(missing_ok=True)
+            os.rename(part, target)
+            made[0].filename = str(target)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    if made and not isinstance(made[0], np.memmap):
         from repro.io import save_field
 
-        save_field(output_path, result[0] if isinstance(result, tuple) else result)
-    return result
+        save_field(path, made[0])
 
 
 def _open_field_mmap(

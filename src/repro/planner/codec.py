@@ -100,25 +100,30 @@ def decompress_any(
     *,
     codec: FZGPU | None = None,
     scratch=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reconstruct a field from any plan's stream by sniffing its magic.
 
-    ``codec`` (default ``FZGPU()``) decodes ``FZGP`` streams.
+    ``codec`` (default ``FZGPU()``) decodes ``FZGP`` streams.  ``out``, a
+    writable C-contiguous float32 array of the stream's shape (else
+    :class:`~repro.errors.ConfigError`), receives the field and is returned.
     """
     buf = bytes(stream)
     magic = buf[:4]
     if magic == FAST_MAGIC:
-        return (FZGPU() if codec is None else codec).decompress(buf, scratch=scratch)
+        return (FZGPU() if codec is None else codec).decompress(
+            buf, scratch=scratch, out=out
+        )
     if magic == INTERP_MAGIC:
         with telemetry.span("planner.decompress") as root:
-            out = interp_decompress(buf, scratch=scratch)
+            out = interp_decompress(buf, scratch=scratch, out=out)
             root.set("plan", plan_name(PLAN_INTERP))
             root.set("bytes_in", len(buf))
             root.set("bytes_out", int(out.nbytes))
         return out
     if magic == CONSTANT_MAGIC:
         with telemetry.span("planner.decompress") as root:
-            out = constant_decompress(buf)
+            out = constant_decompress(buf, out=out)
             root.set("plan", plan_name(PLAN_CONST))
             root.set("bytes_in", len(buf))
             root.set("bytes_out", int(out.nbytes))

@@ -26,7 +26,12 @@ from repro.core.pipeline import CompressionResult
 from repro.core.quantize import QuantizerStats
 from repro.errors import ConfigError, FormatError
 from repro.utils.safeio import BoundedReader
-from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
+from repro.utils.validation import (
+    check_out,
+    ensure_float32,
+    ensure_ndim,
+    ensure_positive,
+)
 
 __all__ = [
     "CONSTANT_MAGIC",
@@ -96,8 +101,11 @@ def constant_compress(data: np.ndarray, eb_abs: float) -> CompressionResult:
     )
 
 
-def constant_decompress(stream: bytes | bytearray | memoryview) -> np.ndarray:
-    """Reconstruct a constant chunk from an ``FZCN`` stream (float32)."""
+def constant_decompress(
+    stream: bytes | bytearray | memoryview, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Reconstruct a constant chunk from an ``FZCN`` stream (float32),
+    filling ``out`` (validated by :func:`check_out`) when given."""
     buf = bytes(stream)
     if len(buf) != STREAM_BYTES:
         raise FormatError(
@@ -132,7 +140,10 @@ def constant_decompress(stream: bytes | bytearray | memoryview) -> np.ndarray:
         raise FormatError(
             f"element count {math.prod(shape)} exceeds the cap {MAX_ELEMENTS}"
         )
-    return np.full(shape, np.float64(fill), dtype=np.float32)
+    if out is None:
+        return np.full(shape, np.float64(fill), dtype=np.float32)
+    check_out(out, shape).fill(np.float64(fill))
+    return out
 
 
 def constant_info(stream: bytes | bytearray | memoryview) -> dict:

@@ -87,7 +87,12 @@ from repro.core.quantize import (
 from repro.errors import ConfigError, DecompressionError, FormatError
 from repro.utils.pool import Scratch
 from repro.utils.safeio import BoundedReader
-from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
+from repro.utils.validation import (
+    check_out,
+    ensure_float32,
+    ensure_ndim,
+    ensure_positive,
+)
 
 __all__ = [
     "INTERP_MAGIC",
@@ -634,8 +639,10 @@ def interp_decompress(
     *,
     impl: str | None = None,
     scratch=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reconstruct a field from an ``FZIN`` stream (float32).
+    """Reconstruct a field from an ``FZIN`` stream (float32), into ``out``
+    (validated by :func:`check_out`) when given.
 
     Mirrors the core format's failure taxonomy: framing problems
     (truncation, bad magics, header inconsistencies, CRC mismatch) raise
@@ -645,6 +652,8 @@ def interp_decompress(
     buf = bytes(stream)
     impl_pass = _resolve_impl(impl)
     shape, eb_abs, anchor_log2, n_blocks, n_nonzero, n_anchors = _check_framing(buf)
+    if out is not None:
+        check_out(out, shape)
     flag_bytes = (n_blocks + 7) // 8
     reader = BoundedReader(buf, name="FZIN stream")
     reader.skip(_HEADER_BYTES, "header")
@@ -676,4 +685,7 @@ def interp_decompress(
             )
         except ValueError as exc:
             raise DecompressionError(f"inconsistent FZIN stream: {exc}") from exc
-    return rec.astype(np.float32)
+    if out is None:
+        return rec.astype(np.float32)
+    np.copyto(out, rec, casting="same_kind")
+    return out

@@ -8,6 +8,7 @@ from repro.errors import ConfigError, UnsupportedDataError
 
 __all__ = [
     "check_finite",
+    "check_out",
     "ensure_float32",
     "ensure_positive",
     "ensure_ndim",
@@ -23,6 +24,29 @@ def check_finite(data: np.ndarray, name: str = "data") -> None:
     """
     if data.size and not np.isfinite(data).all():
         raise non_finite_error(int(np.count_nonzero(~np.isfinite(data))), name)
+
+
+def check_out(out, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate a caller's decode destination: a writable, C-contiguous
+    float32 array of exactly ``shape``; anything else is a
+    :class:`ConfigError`, raised before a byte is written."""
+    shape = tuple(int(d) for d in shape)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float32
+        and tuple(out.shape) == shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        got = (
+            f"{type(out).__name__} {getattr(out, 'dtype', '')}"
+            f"{tuple(getattr(out, 'shape', ()))}"
+        )
+        raise ConfigError(
+            f"out must be a writable C-contiguous float32 array of shape "
+            f"{shape}, got {got}"
+        )
+    return out
 
 
 def non_finite_error(n_bad: int, name: str = "data") -> UnsupportedDataError:

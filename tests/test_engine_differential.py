@@ -31,6 +31,7 @@ from repro import faults
 from repro.core.pipeline import FZGPU
 from repro.engine import Engine, iter_segments, plan_chunks, read_containers
 from repro.errors import ConfigError, FormatError, ReproError
+from repro.io import save_field
 from repro.utils.pool import Scratch
 
 JOBS_MATRIX = sorted({1, int(os.environ.get("ENGINE_JOBS", "2"))})
@@ -441,8 +442,19 @@ def test_file_roundtrip_npy_and_raw(tmp_path, fields, reference):
                                       tmp_path / "back.npy")
     assert report.shape == data.shape and report.n_chunks > 1
     assert report.ratio > 1.0
+    assert isinstance(back, np.memmap)
     assert np.array_equal(back, recons[1])
     assert np.array_equal(np.load(tmp_path / "back.npy"), back)
+    # the memory-mapped sinks write the bytes save_field writes, on every pool
+    for suffix in (".npy", ".f32"):
+        want = tmp_path / f"want{suffix}"
+        save_field(want, recons[1])
+        for jobs in JOBS_MATRIX:
+            for pool in POOL_MATRIX:
+                got = tmp_path / f"sink_{jobs}_{pool}{suffix}"
+                with Engine(jobs=jobs, pool=pool) as engine:
+                    engine.decompress_file(tmp_path / "field.fz", got)
+                assert got.read_bytes() == want.read_bytes(), (jobs, pool)
 
     raw = tmp_path / "field.f32"
     fields[0].tofile(raw)

@@ -190,6 +190,30 @@ class TestCLI:
         assert load_field(out).tobytes() == clean[0:32].tobytes()
         assert "reconstructed ROI 0:32 -> (32, 32) float32 -> " in cap.out
 
+    def test_closed_stdout_is_quiet(self, tmp_path, smooth_2d):
+        """`repro info x.fz | head` whose reader is already gone: no
+        BrokenPipeError traceback, exit 1."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        stream_path = tmp_path / "out.fz"
+        save_stream(stream_path, compress(smooth_2d, 1e-3).stream)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader exited before a byte was written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "info", str(stream_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+        assert proc.returncode == 1
+
     def test_bad_shape_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compress", "x", "y", "--shape", "banana"])

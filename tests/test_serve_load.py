@@ -244,8 +244,26 @@ def test_soak_steady_state_zero_arena_growth():
                     status, _, recon = http_decompress(srv.address, blob)
                     assert status == 200 and recon.shape == (64, 64)
 
-            with ThreadPoolExecutor(4) as pool:  # warm-up: arenas may grow
-                list(pool.map(one, range(32)))
+            def arenas():
+                return {
+                    frozenset((k, a.nbytes) for k, a in s._arenas.items())
+                    for s in engine.buffer_pool._free
+                }
+
+            def warm() -> bool:
+                return (len(engine.buffer_pool._free) == engine.jobs
+                        and len(arenas()) == 1)
+
+            # warm-up: arenas may grow.  Which scratch serves which request
+            # is up to thread timing, and one that has not yet served both
+            # kinds (or does not exist yet) grows later, so warm up until
+            # every worker's scratch exists and holds the same arenas
+            for _ in range(20):
+                with ThreadPoolExecutor(4) as pool:
+                    list(pool.map(one, range(32)))
+                if warm():
+                    break
+            assert warm()
             grown = rec.metrics.value("pool.scratch_growth") or 0
             retained = len(engine.buffer_pool._free) + 0
 
